@@ -9,11 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .qoe import QoeParams, VideoManifest
-from .sim import Observation, SessionState, SimConfig
-
-# Throughput assumed before the first measurement exists (Mbps); shared with
-# the estimator's startup prior.
-STARTUP_PREDICTION_MBPS = 1.0
+from .sim import Observation, SessionState, SimConfig, throughput_history, transition
 
 
 @dataclass(frozen=True)
@@ -91,9 +87,9 @@ def robust_mpc_decide(
     The throughput forecast is the harmonic mean of recent measurements,
     discounted by 1/(1+e) where e is the largest normalized absolute error
     the same forecaster would have made over the recent past.  The horizon
-    search replays the simulator's buffer dynamics under the constant
-    discounted forecast; ties keep the first (lexicographically lowest)
-    sequence.
+    search replays the simulator's buffer dynamics (``sim.transition``)
+    under the constant discounted forecast; ties keep the first
+    (lexicographically lowest) sequence.
     """
     if len(throughput_history_mbps) == 0:
         raise ValueError("need at least one throughput measurement")
@@ -118,10 +114,9 @@ def robust_mpc_decide(
         t = t0 + i
         lv = seqs[:, i]
         d = manifest.chunk_sizes_bytes[t, lv] * 8.0 / rate_bits
-        stall = np.maximum(d - buffer_s, 0.0)
-        rebuffer = 0.0 if t == 0 else stall
-        buffer_s = np.maximum(buffer_s - d, 0.0) + manifest.chunk_duration_s
-        buffer_s = np.minimum(buffer_s, sim_config.buffer_cap_s)
+        _, rebuffer, buffer_s, _ = transition(
+            buffer_s, d, t == 0, manifest.chunk_duration_s, sim_config.buffer_cap_s
+        )
         q = q_lv[lv]
         smooth = 0.0 if q_prev is None else np.abs(q - q_prev)
         value += q - params.rebuffer_penalty * rebuffer - params.smooth_penalty * smooth
@@ -160,9 +155,6 @@ class BufferBasedPolicy:
         self.ladder = ladder
         self.config = config
 
-    def reset(self) -> None:
-        pass
-
     def __call__(self, state: SessionState, obs: Observation) -> int:
         return bb_decide(obs.buffer_s, self.ladder, self.config)
 
@@ -173,19 +165,10 @@ class RateBasedPolicy:
     def __init__(self, ladder, pred_window: int = 5) -> None:
         self.ladder = ladder
         self.pred_window = pred_window
-        self.reset()
-
-    def reset(self) -> None:
-        self._measured: list[float] = []
 
     def __call__(self, state: SessionState, obs: Observation) -> int:
-        if state.next_chunk > 0:
-            self._measured.append(obs.throughput_mbps)
-        if self._measured:
-            pred = harmonic_mean(self._measured[-self.pred_window:])
-        else:
-            pred = STARTUP_PREDICTION_MBPS
-        return rb_decide(pred, self.ladder)
+        history = throughput_history(state.measured_mbps)
+        return rb_decide(harmonic_mean(history[-self.pred_window:]), self.ladder)
 
 
 class RobustMpcPolicy:
@@ -200,15 +183,7 @@ class RobustMpcPolicy:
         self.params = params
         self.config = config
         self.sim_config = sim_config
-        self.reset()
-
-    def reset(self) -> None:
-        self._measured: list[float] = []
 
     def __call__(self, state: SessionState, obs: Observation) -> int:
-        if state.next_chunk > 0:
-            self._measured.append(obs.throughput_mbps)
-        history = self._measured if self._measured else [STARTUP_PREDICTION_MBPS]
-        return robust_mpc_decide(
-            state, self.manifest, history, self.config, self.params, self.sim_config
-        )
+        history = throughput_history(state.measured_mbps)
+        return robust_mpc_decide(state, self.manifest, history, self.config, self.params, self.sim_config)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
-from . import dt, estimator as est, expert, harness, qoe, service, sim, traces
+from . import dt, estimator as est, expert, harness, nn, qoe, service, sim, traces
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -208,19 +209,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .nn import load_checkpoint
-
-    model = dt.load_dt(args.dt)
-    estimator_model = est.load_estimator(args.estimator)
-    _, meta = load_checkpoint(args.dt)
+    arrays, meta = nn.load_checkpoint(args.dt)
+    model, estimator_model = dt.from_checkpoint(arrays, meta), est.load_estimator(args.estimator)
     ladder = tuple(float(r) for r in meta.get("ladder_kbps", qoe.DEFAULT_LADDER_KBPS))
-    bundle = service.DecisionBundle(
-        model=model,
-        estimator_model=estimator_model,
-        ladder_kbps=ladder,
-        stats_window=args.stats_window,
-        manifest_ref=args.manifest_ref,
-    )
+    try:
+        bundle = service.DecisionBundle(model, estimator_model, ladder, args.stats_window, args.manifest_ref)
+    except ValueError as exc:  # a stats window the model's context cannot hold
+        print(f"abrlab serve: {exc}", file=sys.stderr)
+        return 2
     service.serve_decisions(bundle, args.host, args.port)
     return 0
 

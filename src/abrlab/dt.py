@@ -21,7 +21,7 @@ import numpy as np
 from . import nn
 from . import estimator as est
 from .expert import Trajectory
-from .sim import Observation, SessionState
+from .sim import Observation, SessionState, throughput_history
 
 
 class DtError(ValueError):
@@ -387,7 +387,11 @@ def save_dt(model: DtModel, path: str | Path, ladder_kbps: Sequence[float] | Non
 
 
 def load_dt(path: str | Path) -> DtModel:
-    arrays, meta = nn.load_checkpoint(path)
+    return from_checkpoint(*nn.load_checkpoint(path))
+
+
+def from_checkpoint(arrays: dict[str, np.ndarray], meta: dict) -> DtModel:
+    """Rebuild a model from the arrays and metadata of a loaded checkpoint."""
     if meta.get("kind") != "dt_policy":
         raise DtError(f"not a sequence-policy checkpoint: {meta.get('kind')}")
     model = DtModel(DtConfig(**meta["config"]))
@@ -400,8 +404,9 @@ def load_dt(path: str | Path) -> DtModel:
 class DtPolicy:
     """Streaming policy: maintains the window, estimates QoE-to-go, decides.
 
-    The per-chunk throughput history feeds the estimator through the same
-    window statistics used when building expert trajectories.
+    The session's measured-throughput history (``state.measured_mbps``)
+    feeds the estimator through the same window statistics used when
+    building expert trajectories.
     """
 
     def __init__(
@@ -418,15 +423,9 @@ class DtPolicy:
     def reset(self) -> None:
         self._window: TrajectoryWindow | None = None
         self._last_action: int | None = None
-        self._measured: list[float] = []
 
     def __call__(self, state: SessionState, obs: Observation) -> int:
-        if state.next_chunk > 0:
-            self._measured.append(obs.throughput_mbps)
-        if self._measured:
-            stats = est.throughput_stats(self._measured, window=self.stats_window)
-        else:
-            stats = est.STARTUP_PRIOR
+        stats = est.throughput_stats(throughput_history(state.measured_mbps), window=self.stats_window)
         r_hat = est.estimate(
             self.estimator_model, est.features(stats, obs.buffer_s, obs.remaining_frac)
         )

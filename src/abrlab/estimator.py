@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nn
 from .qoe import QoeParams, VideoManifest
-from .sim import SimConfig
+from .sim import STARTUP_THROUGHPUT_MBPS, SimConfig
 from .traces import SyntheticSpec, gen_synthetic_trace
 
 # Feature normalization constants: mean/6 Mbps, stddev/3, buffer/60 s map the
@@ -39,8 +39,8 @@ class NetStats:
     stddev_mbps: float
 
 
-# Before any download completes there is no measurement to summarize.
-STARTUP_PRIOR = NetStats(mean_mbps=1.0, stddev_mbps=0.0)
+# Equal to throughput_stats(sim.throughput_history(())), before any download.
+STARTUP_PRIOR = NetStats(mean_mbps=STARTUP_THROUGHPUT_MBPS, stddev_mbps=0.0)
 
 
 def throughput_stats(history: Sequence[float], window: int = 4) -> NetStats:

@@ -1,11 +1,13 @@
 """Offline-optimal planning over a fully known trace, and expert trajectories.
 
 The planner runs a forward dynamic program over states
-(chunk index, quantized buffer, last level, quantized wall time), using the
-simulator's fluid model for transitions and the per-chunk QoE as the reward.
-Buffer and wall time are re-quantized after every transition, so the search
-is exact whenever the true values land on quantization points and otherwise
-accurate to a bound that scales with the quanta.
+(chunk index, quantized buffer, last level, quantized wall time), with the
+per-chunk QoE as the reward.  Each expansion applies the simulator's own
+``BandwidthProfile`` download solve and ``sim.transition`` to the whole
+candidate array.  Buffer and wall time are re-quantized after every
+transition, so the search is exact whenever the true values land on
+quantization points and otherwise accurate to a bound that scales with the
+quanta.
 
 Expert trajectories pair each decision-time observation along the optimal
 path with the estimator's QoE-to-go output and the optimal action as a
@@ -23,6 +25,7 @@ import numpy as np
 
 from .qoe import QoeParams, VideoManifest, quality
 from .sim import BandwidthProfile, SessionLog, SessionState, SimConfig, run_policy
+from .sim import throughput_history, transition
 from .traces import NetworkTrace
 from . import estimator as est
 
@@ -130,11 +133,7 @@ def dp_plan(
         size_exp = manifest.chunk_sizes_bytes[t, act] * 8.0
 
         d = profile.download_time(w_exp, size_exp)
-        stall = np.maximum(d - b_exp, 0.0)
-        rebuf = np.zeros_like(stall) if t == 0 else stall
-        b_mid = np.maximum(b_exp - d, 0.0) + dur
-        sleep = np.maximum(b_mid - cap, 0.0)
-        b_new = b_mid - sleep
+        _, rebuf, b_new, sleep = transition(b_exp, d, t == 0, dur, cap)
         w_new = w_exp + d + sleep
         val_new = val_exp + q_lv[act] - params.rebuffer_penalty * rebuf - smooth[last_exp + 1, act]
 
@@ -262,15 +261,15 @@ def trajectory_from_log(
     """Assemble the 3-modality expert sequence for one planned session.
 
     The return modality is the estimator's output on measured window
-    statistics (startup prior before any measurement), not the planner's
+    statistics (the startup value before any measurement), not the planner's
     ground truth.
     """
     T = len(log.records)
     obs_mat = np.stack([o.vector() for o in log.observations])
     returns = np.empty(T)
-    measured = [rec.throughput_mbps for rec in log.records]
+    measured = log.final_state.measured_mbps
     for t in range(T):
-        stats = est.throughput_stats(measured[:t], window=stats_window) if t else est.STARTUP_PRIOR
+        stats = est.throughput_stats(throughput_history(measured[:t]), window=stats_window)
         feats = est.features(stats, log.observations[t].buffer_s, log.observations[t].remaining_frac)
         returns[t] = est.estimate(estimator_model, feats)
     n_lv = log.observations[0].next_chunk_sizes_bytes.shape[0]

@@ -273,12 +273,6 @@ class TransformerBlock:
         )
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy against one-hot (or soft) target rows."""
     if logits.shape != targets.shape:

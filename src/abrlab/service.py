@@ -15,7 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from . import dt, estimator as est
-from .sim import Observation
+from .sim import Observation, throughput_history
 
 OBS_FIELDS = ("buffer_s", "throughput_mbps", "download_s", "next_chunk_sizes_bytes", "remaining_frac")
 
@@ -31,6 +31,13 @@ class DecisionBundle:
     ladder_kbps: tuple[float, ...]
     stats_window: int = 4
     manifest_ref: str = "default"
+
+    def __post_init__(self) -> None:
+        # The request window holds at most K observations; a longer stats
+        # window would silently use fewer samples than offline evaluation.
+        K = self.model.config.context_len
+        if not 1 <= self.stats_window <= K:
+            raise ValueError(f"stats_window {self.stats_window} must be in [1, context_len={K}]")
 
 
 def _parse_observation(doc: dict, expected_sizes: int) -> Observation:
@@ -60,7 +67,10 @@ def handle_decide(bundle: DecisionBundle, payload: dict) -> tuple[int, dict]:
         if not isinstance(payload, dict):
             raise RequestError("request body must be a JSON object")
         if "ladder_kbps" in payload:
-            if tuple(float(r) for r in payload["ladder_kbps"]) != bundle.ladder_kbps:
+            ladder = payload["ladder_kbps"]
+            if not isinstance(ladder, list) or not all(type(r) in (int, float) for r in ladder):
+                raise RequestError("ladder_kbps must be a list of numbers")
+            if tuple(float(r) for r in ladder) != bundle.ladder_kbps:
                 raise RequestError("ladder_kbps does not match the served model")
         if payload.get("manifest_ref", bundle.manifest_ref) != bundle.manifest_ref:
             raise RequestError(f"unknown manifest_ref; this server serves {bundle.manifest_ref!r}")
@@ -77,7 +87,10 @@ def handle_decide(bundle: DecisionBundle, payload: dict) -> tuple[int, dict]:
         K = bundle.model.config.context_len
         if n > K:
             raise RequestError(f"window holds {n} timesteps; the model context is {K}")
-        if any(int(b) != int(a) + 1 for a, b in zip(timesteps, timesteps[1:])):
+        max_t = bundle.model.config.max_timestep
+        if not all(type(t) is int and 0 <= t < max_t for t in timesteps):
+            raise RequestError(f"window.timesteps must be integers in [0, {max_t})")
+        if any(b != a + 1 for a, b in zip(timesteps, timesteps[1:])):
             raise RequestError("window.timesteps must be consecutive")
         if not isinstance(observations, list) or len(observations) != n:
             raise RequestError(f"window.observations must list {n} observations")
@@ -99,18 +112,15 @@ def handle_decide(bundle: DecisionBundle, payload: dict) -> tuple[int, dict]:
     try:
         # The timestep-0 observation carries a placeholder throughput, not a
         # measurement, so it is excluded from the window statistics.
-        measured = [o.throughput_mbps for o, t in zip(obs, timesteps) if int(t) > 0]
-        if measured:
-            stats = est.throughput_stats(measured, window=bundle.stats_window)
-        else:
-            stats = est.STARTUP_PRIOR
+        measured = [o.throughput_mbps for o, t in zip(obs, timesteps) if t > 0]
+        stats = est.throughput_stats(throughput_history(measured), window=bundle.stats_window)
         newest = obs[-1]
         r_hat = est.estimate(
             bundle.estimator_model, est.features(stats, newest.buffer_s, newest.remaining_frac)
         )
         window = dt.TrajectoryWindow(
             context_len=K,
-            timesteps=[int(t) for t in timesteps],
+            timesteps=list(timesteps),
             observations=[o.vector() for o in obs],
             returns=[float(r) for r in returns] + [r_hat],
             actions=acts + [None],

@@ -8,14 +8,15 @@ chunk lands (that delay is startup, not rebuffering); afterwards any gap
 between an empty buffer and a finishing download counts as rebuffering.
 When a finished download would push the buffer above its cap, the client
 sleeps until the buffer drains to the cap, with the wall clock (and hence
-the trace) advancing during the sleep.
+the trace) advancing during the sleep.  ``transition`` holds this buffer
+arithmetic once; the planner and the MPC rollout apply it to arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import json
 
@@ -24,8 +25,8 @@ import numpy as np
 from .qoe import ChunkRecord, QoeParams, VideoManifest, chunk_qoe
 from .traces import NetworkTrace
 
-# Placeholder throughput reported in the very first observation, before any
-# download has been measured.  Matches the estimator's startup prior.
+# Throughput assumed before any download has been measured: the first
+# observation's placeholder and the startup history (see throughput_history).
 STARTUP_THROUGHPUT_MBPS = 1.0
 
 
@@ -50,7 +51,8 @@ class SessionState:
     """Progress of one streaming session.
 
     The trace cursor is implicit: position within the looped trace is
-    wall_clock_s modulo the trace duration.
+    wall_clock_s modulo the trace duration.  ``measured_mbps`` holds the
+    throughput of every completed download, oldest first.
     """
 
     next_chunk: int = 0
@@ -60,9 +62,12 @@ class SessionState:
     rebuffer_total_s: float = 0.0
     startup_delay_s: float = 0.0
     sleep_total_s: float = 0.0
+    measured_mbps: tuple[float, ...] = ()
 
-    def trace_cursor_s(self, trace: NetworkTrace) -> float:
-        return self.wall_clock_s % trace.duration_s
+
+def throughput_history(measured_mbps: Sequence[float]) -> Sequence[float]:
+    """Measured per-chunk throughputs, or the startup value before any download."""
+    return measured_mbps if len(measured_mbps) else (STARTUP_THROUGHPUT_MBPS,)
 
 
 @dataclass
@@ -157,26 +162,50 @@ class BandwidthProfile:
         return finish - np.asarray(wall_s, dtype=np.float64)
 
 
-def init_session(
-    manifest: VideoManifest,
-    trace: NetworkTrace,
-    config: SimConfig = SimConfig(),
-) -> SessionState:
+def init_session(trace: NetworkTrace) -> SessionState:
     """Fresh session: empty buffer, clock at 0, cursor at the trace start."""
     if trace.duration_s < 1.0:
         raise SimError("trace must cover at least 1 s")
     return SessionState()
 
 
-def initial_observation(manifest: VideoManifest, state: SessionState) -> Observation:
-    """Decision-time observation before any download has completed."""
+def observe(
+    manifest: VideoManifest,
+    state: SessionState,
+    throughput_mbps: float = STARTUP_THROUGHPUT_MBPS,
+    download_s: float = 0.0,
+) -> Observation:
+    """Decision-time observation for chunk ``state.next_chunk``.
+
+    The defaults describe a session start, before any download has completed;
+    once the session is over the chunk sizes are zeros.
+    """
+    t = state.next_chunk
+    done = t >= manifest.chunk_count
     return Observation(
         buffer_s=state.buffer_s,
-        throughput_mbps=STARTUP_THROUGHPUT_MBPS,
-        download_s=0.0,
-        next_chunk_sizes_bytes=manifest.chunk_sizes_bytes[state.next_chunk].copy(),
-        remaining_frac=(manifest.chunk_count - state.next_chunk) / manifest.chunk_count,
+        throughput_mbps=throughput_mbps,
+        download_s=download_s,
+        next_chunk_sizes_bytes=np.zeros(len(manifest.ladder)) if done else manifest.chunk_sizes_bytes[t].copy(),
+        remaining_frac=(manifest.chunk_count - t) / manifest.chunk_count,
     )
+
+
+def transition(buffer_s, download_s, first: bool, chunk_s: float, cap_s: float):
+    """Buffer dynamics of one chunk download: (stall, rebuffer, buffer_after, sleep).
+
+    Works elementwise on floats or arrays; floats skip the ufunc overhead.
+    The stall is the time the download outlasts the buffer; on the session's
+    first chunk it is startup delay, so rebuffering is 0.  The chunk lands,
+    then the client sleeps until the buffer drains to ``cap_s``.
+    """
+    scalar = isinstance(buffer_s, float) and isinstance(download_s, float)
+    maximum, minimum = (max, min) if scalar else (np.maximum, np.minimum)
+    stall = maximum(download_s - buffer_s, 0.0)
+    rebuffer = 0.0 if first else stall
+    buffer_mid = maximum(buffer_s - download_s, 0.0) + chunk_s
+    buffer_after = minimum(buffer_mid, cap_s)
+    return stall, rebuffer, buffer_after, buffer_mid - buffer_after
 
 
 def step(
@@ -206,11 +235,9 @@ def step(
     d = float(profile.download_time(state.wall_clock_s, size_bits))
 
     first = t == 0
-    stall = max(0.0, d - state.buffer_s)
-    rebuffer = 0.0 if first else stall  # first-chunk wait is startup delay
-    buffer_mid = max(state.buffer_s - d, 0.0) + manifest.chunk_duration_s
-    sleep = max(buffer_mid - config.buffer_cap_s, 0.0)
-    buffer_after = buffer_mid - sleep
+    stall, rebuffer, buffer_after, sleep = transition(
+        state.buffer_s, d, first, manifest.chunk_duration_s, config.buffer_cap_s
+    )
 
     throughput_mbps = size_bits / d / 1e6
     qoe = chunk_qoe(
@@ -237,21 +264,9 @@ def step(
         rebuffer_total_s=state.rebuffer_total_s + rebuffer,
         startup_delay_s=state.startup_delay_s + (stall if first else 0.0),
         sleep_total_s=state.sleep_total_s + sleep,
+        measured_mbps=state.measured_mbps + (throughput_mbps,),
     )
-    done = new_state.next_chunk >= manifest.chunk_count
-    next_sizes = (
-        np.zeros(len(manifest.ladder))
-        if done
-        else manifest.chunk_sizes_bytes[new_state.next_chunk].copy()
-    )
-    obs = Observation(
-        buffer_s=buffer_after,
-        throughput_mbps=throughput_mbps,
-        download_s=d,
-        next_chunk_sizes_bytes=next_sizes,
-        remaining_frac=(manifest.chunk_count - new_state.next_chunk) / manifest.chunk_count,
-    )
-    return obs, record, new_state
+    return observe(manifest, new_state, throughput_mbps, d), record, new_state
 
 
 @dataclass
@@ -282,12 +297,12 @@ def run_policy(
 
     Stateful policies may expose ``reset()``, called before the first chunk.
     """
-    state = init_session(manifest, trace, config)
+    state = init_session(trace)
     profile = BandwidthProfile(trace, config.link_efficiency)
     reset = getattr(policy, "reset", None)
     if reset is not None:
         reset()
-    obs = initial_observation(manifest, state)
+    obs = observe(manifest, state)
     records: list[ChunkRecord] = []
     observations: list[Observation] = []
     for t in range(manifest.chunk_count):

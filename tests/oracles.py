@@ -1,7 +1,9 @@
 """Independent oracles shared by the unit and acceptance suites.
 
-The brute-force planner enumerates every action sequence through the real
-simulator; it shares no code with the dynamic program it checks.  The
+The brute-force planner enumerates every action sequence with its own scalar
+fluid download (walking the looped trace segment by segment) and its own
+buffer update; it shares no code with the simulator's transition or
+bandwidth profile, nor with the dynamic program it checks.  The
 aligned-instance generator produces manifests/traces whose download times,
 buffers, and wall clocks always land exactly on the planner's quantization
 grid, so planner totals must match enumeration to float round-off.
@@ -16,28 +18,63 @@ import numpy as np
 from abrlab import qoe, sim, traces
 
 
+def fluid_download_s(trace, wall_s: float, size_bits: float, link_efficiency: float = 1.0) -> float:
+    """Seconds to deliver ``size_bits`` starting at ``wall_s`` on the looped trace.
+
+    Segment j runs from times[j] to times[j+1] at throughput[j]; the last
+    sample only closes the final segment, after which the trace restarts.
+    """
+    times = [float(x) for x in trace.times_s]
+    rates = [float(x) * 1e6 * link_efficiency for x in trace.throughput_mbps]
+    tau = wall_s % times[-1]
+    j = 0
+    while times[j + 1] <= tau:
+        j += 1
+    elapsed, left = 0.0, size_bits
+    while True:
+        deliverable = rates[j] * (times[j + 1] - tau)
+        if deliverable >= left:
+            return elapsed + left / rates[j]
+        left -= deliverable
+        elapsed += times[j + 1] - tau
+        j += 1
+        if j == len(times) - 1:
+            j = 0
+        tau = times[j]
+
+
 def brute_force_plan(manifest, trace, params=None, sim_config=None):
-    """(best_total, best_actions) over all ladder^T sequences, via the simulator."""
+    """(best_total, best_actions) over all ladder^T sequences, by exhaustive replay."""
     params = params or qoe.QoeParams()
     sim_config = sim_config or sim.SimConfig()
-    profile = sim.BandwidthProfile(trace, sim_config.link_efficiency)
+    cap = sim_config.buffer_cap_s
     n_lv = len(manifest.ladder)
     T = manifest.chunk_count
     best = [-np.inf, None]
 
-    def recurse(state, records):
-        t = state.next_chunk
+    def recurse(t, wall, buffer, prev_kbps, total, actions):
         if t == T:
-            total = qoe.session_qoe(records, params).total
             if total > best[0]:
                 best[0] = total
-                best[1] = [r.chosen_level for r in records]
+                best[1] = actions
             return
         for level in range(n_lv):
-            _, rec, nxt = sim.step(state, level, manifest, trace, sim_config, params, profile)
-            recurse(nxt, records + [rec])
+            d = fluid_download_s(trace, wall, manifest.chunk_bits(t, level), sim_config.link_efficiency)
+            # the first chunk's wait is startup delay, not rebuffering
+            rebuffer = 0.0 if t == 0 else max(d - buffer, 0.0)
+            landed = max(buffer - d, 0.0) + manifest.chunk_duration_s
+            sleep = max(landed - cap, 0.0)
+            kbps = manifest.ladder[level]
+            recurse(
+                t + 1,
+                wall + d + sleep,
+                landed - sleep,
+                kbps,
+                total + qoe.chunk_qoe(kbps, prev_kbps, rebuffer, params),
+                actions + [level],
+            )
 
-    recurse(sim.init_session(manifest, trace, sim_config), [])
+    recurse(0, 0.0, 0.0, qoe.FIRST_CHUNK, 0.0, [])
     return best[0], best[1]
 
 

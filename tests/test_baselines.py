@@ -111,7 +111,7 @@ def test_mpc_matches_planner_first_action_on_stationary_traces(params):
         trace = constant_trace(bw)
         totals = {}
         for seq in itertools.product(range(n_lv), repeat=T):
-            state = sim.init_session(manifest, trace)
+            state = sim.init_session(trace)
             recs = []
             for lv in seq:
                 _, rec, state = sim.step(state, lv, manifest, trace)
@@ -123,7 +123,7 @@ def test_mpc_matches_planner_first_action_on_stationary_traces(params):
         checked += 1
         best_seq = max(totals, key=totals.get)
         plan = expert.dp_plan(manifest, trace, params, dp_config=expert.DpConfig(0.25, 0.25))
-        state0 = sim.init_session(manifest, trace)
+        state0 = sim.init_session(trace)
         mpc = robust_mpc_decide(state0, manifest, [bw], MpcConfig(horizon=T), params)
         assert plan.actions[0] == best_seq[0]
         assert mpc == best_seq[0]
@@ -138,5 +138,29 @@ def test_policies_drive_sessions(small_manifest):
     ):
         log = sim.run_policy(policy, small_manifest, trace)
         assert len(log.records) == small_manifest.chunk_count
-        again = sim.run_policy(policy, small_manifest, trace)  # reset() clears state
+        again = sim.run_policy(policy, small_manifest, trace)  # no state carries over
         assert [r.chosen_level for r in log.records] == [r.chosen_level for r in again.records]
+
+
+def test_rate_policies_are_stateless(small_manifest):
+    trace = traces.gen_synthetic_trace(traces.SyntheticSpec(1.5, 0.8, 120.0, seed=2))
+    state = sim.init_session(trace)
+    obs = sim.observe(small_manifest, state)
+    pairs = []
+    for t in range(small_manifest.chunk_count):
+        pairs.append((state, obs))
+        obs, _, state = sim.step(state, (3 * t) % 6, small_manifest, trace)
+    for make in (
+        lambda: baselines.RateBasedPolicy(small_manifest.ladder),
+        lambda: baselines.RobustMpcPolicy(small_manifest),
+    ):
+        policy = make()
+        forward = [policy(s, o) for s, o in pairs]
+        backward = [policy(s, o) for s, o in reversed(pairs)][::-1]
+        fresh = [make()(s, o) for s, o in pairs]
+        assert forward == backward == fresh
+        assert not hasattr(policy, "reset")
+    rb = baselines.RateBasedPolicy(small_manifest.ladder)
+    for s, o in pairs:
+        history = s.measured_mbps if s.measured_mbps else (1.0,)
+        assert rb(s, o) == rb_decide(harmonic_mean(history[-5:]), small_manifest.ladder)

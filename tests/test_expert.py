@@ -50,7 +50,7 @@ def test_plan_total_matches_simulated_actions(params):
     manifest = two_level_manifest(chunks=4)
     trace = constant_trace(1.0)
     plan = dp_plan(manifest, trace, params, dp_config=DpConfig(0.25, 0.25))
-    state = sim.init_session(manifest, trace)
+    state = sim.init_session(trace)
     profile = sim.BandwidthProfile(trace)
     records = []
     for level in plan.actions:
@@ -67,7 +67,7 @@ def test_value_to_go_telescopes(params):
     plan = dp_plan(manifest, trace, params, dp_config=DpConfig(0.25, 0.25))
     vtg = plan.value_to_go
     assert vtg[0] == pytest.approx(plan.total_qoe, abs=1e-12)
-    state = sim.init_session(manifest, trace)
+    state = sim.init_session(trace)
     profile = sim.BandwidthProfile(trace)
     for i, level in enumerate(plan.actions):
         _, rec, state = sim.step(state, level, manifest, trace, profile=profile)

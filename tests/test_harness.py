@@ -7,7 +7,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from abrlab import dt, estimator as est, expert, harness, qoe, service, sim, traces
+from abrlab import cli, dt, estimator as est, expert, harness, qoe, service, sim, traces
 from abrlab.harness import AlgorithmSpec, HarnessError, RunConfig, evaluate_corpus, emit_report
 
 from conftest import constant_trace
@@ -82,6 +82,37 @@ def test_report_identity_and_roundtrip(tmp_path, eval_setup):
     assert len(csv_lines) == len(report.aggregates) + 1
     cdf_lines = paths["cdf"].read_text().strip().splitlines()
     assert len(cdf_lines) == 1 + sum(len(v["qoe"]) for v in report.cdf.values())
+
+
+# Exact aggregate rows (mean, std, utility, rebuffer, smoothness, sessions)
+# of a small seeded switching corpus on which the 12 s buffer cap binds and
+# every rule-based policy stalls: any drift in the simulator, planner or MPC
+# dynamics changes them.
+PINNED_ROWS = {
+    "bb": (0.6109425239175221, 0.5744425924905614, 1.6556250000000003, 0.5640574760824781, 0.480625, 4),
+    "rb": (-0.9301120117357655, 1.0898486358271797, 2.3362500000000006, 2.875112011735766, 0.39125, 4),
+    "mpc": (0.09312244986785267, 1.4037587322786762, 1.7906249999999995, 1.105627550132147, 0.5918749999999999, 4),
+    "dp": (1.9589607779297464, 0.4097697815073101, 2.498125, 0.1829142220702534, 0.35624999999999996, 4),
+}
+
+
+def test_pinned_aggregate_rows():
+    corpus = harness.PipelineConfig(trace_duration_s=150.0, mu_range=(0.4, 6.0))
+    test_traces = harness.make_switching_corpus(4, corpus, 5, "pin")
+    manifest = qoe.make_manifest(20, 4.0, size_jitter=0.1, seed=5)
+    config = RunConfig(
+        manifest_path="<mem>",
+        test_trace_paths=[],
+        algorithms=[AlgorithmSpec(name) for name in PINNED_ROWS],
+        sim_config=sim.SimConfig(buffer_cap_s=12.0),
+        dp_config=expert.DpConfig(dominance_prune=True),
+    )
+    report = evaluate_corpus(config, manifest, test_traces)
+    rows = {
+        a.algorithm: (a.mean_qoe, a.std_qoe, a.utility, a.rebuffer_penalty, a.smoothness_penalty, a.session_count)
+        for a in report.aggregates
+    }
+    assert rows == PINNED_ROWS
 
 
 def test_run_config_validation(tmp_path):
@@ -224,6 +255,47 @@ def test_handle_decide_validation(service_bundle):
     request["window"]["actions"] = [2]
     status, _ = service.handle_decide(service_bundle, request)
     assert status == 400
+
+
+@pytest.mark.parametrize(
+    "timesteps",
+    [["a", "b", "c"], [0.5, 1.5, 2.5], [0, 1.0, 2], [True, 2, 3], [-1, 0, 1], [46, 47, 48], [5.5]],
+)
+def test_handle_decide_rejects_bad_timesteps(service_bundle, timesteps):
+    request = well_formed_request()
+    window = request["window"]
+    n = len(timesteps)
+    window["timesteps"] = timesteps
+    window["observations"] = window["observations"][-n:]
+    window["returns"], window["actions"] = window["returns"][: n - 1], window["actions"][: n - 1]
+    status, body = service.handle_decide(service_bundle, request)
+    assert status == 400 and "timesteps" in body["error"]
+
+
+@pytest.mark.parametrize("ladder", [4300, "300,750", None, {"0": 300.0}, ["300"] * 6, [True] * 6])
+def test_handle_decide_rejects_malformed_ladder(service_bundle, ladder):
+    request = well_formed_request()
+    request["ladder_kbps"] = ladder
+    status, body = service.handle_decide(service_bundle, request)
+    assert status == 400 and "ladder_kbps" in body["error"]
+
+
+def test_bundle_refuses_stats_window_beyond_context(service_bundle, tmp_path, capsys, monkeypatch):
+    K = service_bundle.model.config.context_len
+    for window in (K + 1, 0):
+        with pytest.raises(ValueError, match="stats_window"):
+            service.DecisionBundle(service_bundle.model, service_bundle.estimator_model,
+                                   service_bundle.ladder_kbps, stats_window=window)
+    service.DecisionBundle(service_bundle.model, service_bundle.estimator_model,
+                           service_bundle.ladder_kbps, stats_window=K)
+
+    monkeypatch.setattr(service, "serve_decisions", lambda *args: pytest.fail("serve started"))
+    dt.save_dt(service_bundle.model, tmp_path / "dt.npz", service_bundle.ladder_kbps)
+    est.save_estimator(service_bundle.estimator_model, tmp_path / "est.npz")
+    argv = ["serve", "--dt", str(tmp_path / "dt.npz"), "--estimator", str(tmp_path / "est.npz"),
+            "--port", "0", "--stats-window", str(K + 1)]
+    assert cli.main(argv) == 2
+    assert "stats_window" in capsys.readouterr().err
 
 
 def test_handle_decide_model_failure_is_5xx(service_bundle):

@@ -17,14 +17,14 @@ def one_level_manifest(chunks=2, size_bytes=150_000.0, duration=4.0):
 
 
 def test_init_session(small_manifest, fast_trace):
-    state = sim.init_session(small_manifest, fast_trace)
+    state = sim.init_session(fast_trace)
     assert state.buffer_s == 0.0 and state.next_chunk == 0 and state.wall_clock_s == 0.0
-    obs = sim.initial_observation(small_manifest, state)
+    obs = sim.observe(small_manifest, state)
     assert obs.remaining_frac == 1.0
     assert obs.next_chunk_sizes_bytes.shape == (6,)
     short = traces.NetworkTrace(np.array([0.0, 0.5]), np.array([1.0, 1.0]))
     with pytest.raises(SimError):
-        sim.init_session(small_manifest, short)
+        sim.init_session(short)
 
 
 def test_step_fluid_model_no_stall():
@@ -63,7 +63,7 @@ def test_step_overflow_sleep():
 def test_first_chunk_is_startup_not_rebuffer():
     manifest = one_level_manifest()
     trace = constant_trace(0.5)
-    state = sim.init_session(manifest, trace)
+    state = sim.init_session(trace)
     obs, rec, nxt = sim.step(state, 0, manifest, trace)
     assert rec.rebuffer_s == 0.0
     assert nxt.startup_delay_s == pytest.approx(2.4, abs=1e-12)
@@ -74,7 +74,7 @@ def test_two_segment_download_crosses_boundary():
     # 1 Mbps for 1 s, then 2 Mbps: 1.2 Mb needs 1 s + 0.1 s.
     manifest = one_level_manifest()
     trace = traces.NetworkTrace(np.array([0.0, 1.0, 100.0]), np.array([1.0, 2.0, 2.0]))
-    state = sim.init_session(manifest, trace)
+    state = sim.init_session(trace)
     _, rec, _ = sim.step(state, 0, manifest, trace)
     assert rec.download_s == pytest.approx(1.1, abs=1e-12)
 
@@ -155,7 +155,7 @@ def test_profile_inverse_property():
 
 
 def test_observation_vector_layout(small_manifest, fast_trace):
-    state = sim.init_session(small_manifest, fast_trace)
+    state = sim.init_session(fast_trace)
     obs, rec, nxt = sim.step(state, 2, small_manifest, fast_trace)
     vec = obs.vector()
     assert vec.shape == (sim.obs_dim(6),)
@@ -172,3 +172,55 @@ def test_session_log_export(tmp_path, small_manifest, fast_trace):
     sim.save_session_log(log, path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == small_manifest.chunk_count
+
+
+def test_transition_arrays_match_scalars():
+    rng = np.random.default_rng(5)
+    cap, dur = 12.0, 4.0
+    # random pairs plus edges: empty buffer, full buffer, exact drain, cap overshoot
+    buffers = np.concatenate((rng.uniform(0.0, cap, 60), [0.0, cap, 3.0, 11.5]))
+    downloads = np.concatenate((rng.uniform(0.0, 8.0, 60), [2.0, 0.5, 3.0, 1e-3]))
+    for first in (True, False):
+        batched = [np.broadcast_to(a, buffers.shape) for a in sim.transition(buffers, downloads, first, dur, cap)]
+        for i, (b, d) in enumerate(zip(buffers.tolist(), downloads.tolist())):
+            scalar = sim.transition(b, d, first, dur, cap)
+            assert [float(a[i]) for a in batched] == [float(v) for v in scalar]
+    stall, rebuffer, after, sleep = sim.transition(buffers, downloads, False, dur, cap)
+    assert np.any(sleep > 0) and np.any(stall > 0)
+    assert np.all(after <= cap) and np.array_equal(rebuffer, stall)
+    assert sim.transition(buffers, downloads, True, dur, cap)[1] == 0.0
+
+
+def test_transition_matches_step_records():
+    # 0.5 Mbps then 8 Mbps on a looping 40 s trace, 10 s cap: the session
+    # starts with a stall, stalls again on each slow stretch and sleeps on
+    # the fast ones.
+    manifest = qoe.make_manifest(chunk_count=24)
+    trace = traces.NetworkTrace(np.array([0.0, 20.0, 40.0]), np.array([0.5, 8.0, 8.0]))
+    config = SimConfig(buffer_cap_s=10.0)
+    log = sim.run_policy(lambda s, o: (2 * s.next_chunk) % 6, manifest, trace, config)
+    recs = log.records
+    before = np.array([0.0] + [r.buffer_after_s for r in recs[:-1]])
+    d = np.array([r.download_s for r in recs])
+    dur, cap = manifest.chunk_duration_s, config.buffer_cap_s
+
+    stall0, rebuffer0, after0, sleep0 = sim.transition(before[0], d[0], True, dur, cap)
+    assert (rebuffer0, after0) == (recs[0].rebuffer_s, recs[0].buffer_after_s)
+    assert stall0 == log.final_state.startup_delay_s > 0.0
+
+    _, rebuffer, after, sleep = sim.transition(before[1:], d[1:], False, dur, cap)
+    assert rebuffer.tolist() == [r.rebuffer_s for r in recs[1:]]
+    assert after.tolist() == [r.buffer_after_s for r in recs[1:]]
+    assert sum([float(sleep0)] + sleep.tolist()) == log.final_state.sleep_total_s
+    assert np.any(rebuffer > 0) and np.any(sleep > 0)
+
+
+def test_measured_history_and_startup_fallback():
+    from abrlab import baselines, estimator as est
+
+    assert est.throughput_stats(sim.throughput_history(())) == est.STARTUP_PRIOR
+    assert baselines.harmonic_mean(sim.throughput_history(())) == sim.STARTUP_THROUGHPUT_MBPS
+    manifest = qoe.make_manifest(chunk_count=5)
+    log = sim.run_policy(lambda s, o: 1, manifest, constant_trace(2.0))
+    assert log.final_state.measured_mbps == tuple(r.throughput_mbps for r in log.records)
+    assert sim.throughput_history(log.final_state.measured_mbps) == log.final_state.measured_mbps
