@@ -1,8 +1,13 @@
-"""Rule-based comparison policies: buffer-based, rate-based, and robust MPC."""
+"""Rule-based comparison policies: buffer-based, rate-based, and robust MPC.
+
+Robust MPC (Yin et al., SIGCOMM 2015) searches its lookahead horizon as a
+prefix tree over (sessions, prefixes) arrays, so one call decides for every
+session of a lock-step corpus run; ``robust_mpc_decide`` is its one-session
+case.
+"""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,11 +60,13 @@ def bb_decide(buffer_s: float, ladder, config: BbConfig = BbConfig()) -> int:
     return level
 
 
-def harmonic_mean(values: Sequence[float]) -> float:
+def harmonic_mean(values):
+    """Harmonic mean of positive values; of each row for a (B, n) array."""
     v = np.asarray(values, dtype=np.float64)
-    if len(v) == 0 or np.any(v <= 0):
+    if v.shape[-1] == 0 or np.any(v <= 0):
         raise ValueError("harmonic mean needs positive values")
-    return float(len(v) / np.sum(1.0 / v))
+    mean = v.shape[-1] / np.sum(1.0 / v, axis=-1)
+    return float(mean) if v.ndim == 1 else mean
 
 
 def rb_decide(predicted_throughput_mbps: float, ladder) -> int:
@@ -87,67 +94,81 @@ def robust_mpc_decide(
     The throughput forecast is the harmonic mean of recent measurements,
     discounted by 1/(1+e) where e is the largest normalized absolute error
     the same forecaster would have made over the recent past.  The horizon
-    search replays the simulator's buffer dynamics (``sim.transition``)
-    under the constant discounted forecast; ties keep the first
-    (lexicographically lowest) sequence.
+    search (``mpc_first_levels``, here for one session) replays the
+    simulator's buffer dynamics under the constant discounted forecast.
     """
-    if len(throughput_history_mbps) == 0:
-        raise ValueError("need at least one throughput measurement")
-    history = list(throughput_history_mbps)
-    pred = harmonic_mean(history[-config.pred_window:])
-    err = _max_recent_error(history, config)
-    pred /= 1.0 + err
+    forecast = mpc_forecasts([throughput_history_mbps], config)
+    return int(mpc_first_levels([state], manifest, forecast, config, params, sim_config)[0])
 
-    t0 = state.next_chunk
+
+def mpc_forecasts(histories, config: MpcConfig = MpcConfig()) -> np.ndarray:
+    """Discounted harmonic-mean forecasts for B equally long histories, (B, n) -> (B,)."""
+    history = np.asarray(histories, dtype=np.float64)
+    if history.shape[1] == 0:
+        raise ValueError("need at least one throughput measurement")
+    pred = harmonic_mean(history[:, -config.pred_window:])
+    return pred / (1.0 + _max_recent_error(history, config))
+
+
+def _max_recent_error(history, config: MpcConfig) -> np.ndarray:
+    """Largest |predicted - actual| / actual the forecaster recently made, per history row."""
+    h = np.asarray(history, dtype=np.float64)
+    n = h.shape[-1]
+    worst = np.zeros(h.shape[:-1])
+    for k in range(max(1, n - config.error_window), n):
+        predicted = harmonic_mean(h[..., max(0, k - config.pred_window):k])
+        actual = h[..., k]
+        worst = np.maximum(worst, np.abs(predicted - actual) / actual)
+    return worst
+
+
+def mpc_first_levels(
+    states: Sequence[SessionState],
+    manifest: VideoManifest,
+    forecasts_mbps: Sequence[float],
+    config: MpcConfig = MpcConfig(),
+    params: QoeParams = QoeParams(),
+    sim_config: SimConfig = SimConfig(),
+) -> np.ndarray:
+    """Robust-MPC first levels for sessions that all decide the same chunk.
+
+    The horizon is searched as a prefix tree, one depth at a time on
+    (sessions, prefixes) arrays: depth i holds every level sequence of
+    length i+1 in ascending lexicographic order, so the n + n^2 + ... + n^H
+    nodes replace n^H full sequences of H steps each.  Every leaf sums the
+    same per-chunk terms in the same order as replaying its sequence alone,
+    and ties keep the first (lexicographically lowest) sequence.
+    """
+    t0 = states[0].next_chunk
+    if any(s.next_chunk != t0 for s in states):
+        raise ValueError("sessions must decide the same chunk")
     horizon = min(config.horizon, manifest.chunk_count - t0)
     if horizon <= 0:
         raise ValueError("session already complete")
-    rate_bits = pred * 1e6
-    n_lv = len(manifest.ladder)
-    seqs = _level_sequences(n_lv, horizon)
+    B, n_lv = len(states), len(manifest.ladder)
     q_lv = params.quality_scale * np.asarray(manifest.ladder.levels)
-
-    buffer_s = np.full(len(seqs), state.buffer_s)
-    value = np.zeros(len(seqs))
-    q_prev = None if state.last_level is None else q_lv[state.last_level]
+    rate_bits = np.asarray(forecasts_mbps, dtype=np.float64)[:, None, None] * 1e6
+    has_prev = np.array([s.last_level is not None for s in states])[:, None, None]
+    q_prev = np.array([0.0 if s.last_level is None else q_lv[s.last_level] for s in states])[:, None, None]
+    buffer_s = np.array([s.buffer_s for s in states])[:, None]
+    value = np.zeros((B, 1))
     for i in range(horizon):
+        # Children of every (session, prefix) node, one per level: (B, prefixes, n_lv).
         t = t0 + i
-        lv = seqs[:, i]
-        d = manifest.chunk_sizes_bytes[t, lv] * 8.0 / rate_bits
+        d = manifest.chunk_sizes_bytes[t] * 8.0 / rate_bits
         _, rebuffer, buffer_s, _ = transition(
-            buffer_s, d, t == 0, manifest.chunk_duration_s, sim_config.buffer_cap_s
+            buffer_s[:, :, None], d, t == 0, manifest.chunk_duration_s, sim_config.buffer_cap_s
         )
-        q = q_lv[lv]
-        smooth = 0.0 if q_prev is None else np.abs(q - q_prev)
-        value += q - params.rebuffer_penalty * rebuffer - params.smooth_penalty * smooth
-        q_prev = q
-    # argmax takes the first maximum: sequences enumerate in ascending
-    # lexicographic order, so ties resolve toward lower bitrates.
-    return int(seqs[int(np.argmax(value)), 0])
-
-
-_SEQ_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _level_sequences(n_levels: int, horizon: int) -> np.ndarray:
-    key = (n_levels, horizon)
-    if key not in _SEQ_CACHE:
-        _SEQ_CACHE[key] = np.array(
-            list(itertools.product(range(n_levels), repeat=horizon)), dtype=np.int64
-        )
-    return _SEQ_CACHE[key]
-
-
-def _max_recent_error(history: Sequence[float], config: MpcConfig) -> float:
-    """Largest |predicted - actual| / actual the forecaster recently made."""
-    worst = 0.0
-    n = len(history)
-    for k in range(max(1, n - config.error_window), n):
-        past = history[max(0, k - config.pred_window):k]
-        predicted = harmonic_mean(past)
-        actual = history[k]
-        worst = max(worst, abs(predicted - actual) / actual)
-    return worst
+        if i == 0:  # against each session's last level, if it has one
+            smooth = np.where(has_prev, np.abs(q_lv - q_prev), 0.0)
+        else:  # against the parent node's level, the same for every session
+            smooth = np.abs(q_lv - q_prev[:, None])
+        value = value[:, :, None] + (q_lv - params.rebuffer_penalty * rebuffer - params.smooth_penalty * smooth)
+        value, buffer_s = value.reshape(B, -1), buffer_s.reshape(B, -1)
+        q_prev = np.tile(q_lv, value.shape[1] // n_lv)
+    # argmax takes the first maximum: leaves are in ascending lexicographic
+    # order, so ties resolve toward lower bitrates.
+    return np.argmax(value, axis=1) // n_lv ** (horizon - 1)
 
 
 class BufferBasedPolicy:
@@ -172,6 +193,8 @@ class RateBasedPolicy:
 
 
 class RobustMpcPolicy:
+    """Robust MPC; stateless, so one instance serves any number of sessions."""
+
     def __init__(
         self,
         manifest: VideoManifest,
@@ -187,3 +210,9 @@ class RobustMpcPolicy:
     def __call__(self, state: SessionState, obs: Observation) -> int:
         history = throughput_history(state.measured_mbps)
         return robust_mpc_decide(state, self.manifest, history, self.config, self.params, self.sim_config)
+
+    def decide_batch(self, states: Sequence[SessionState], observations: Sequence[Observation]) -> list[int]:
+        """Levels for sessions deciding the same chunk, in one horizon search."""
+        forecasts = mpc_forecasts([throughput_history(s.measured_mbps) for s in states], self.config)
+        levels = mpc_first_levels(states, self.manifest, forecasts, self.config, self.params, self.sim_config)
+        return [int(level) for level in levels]

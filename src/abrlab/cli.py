@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import dt, estimator as est, expert, harness, nn, qoe, service, sim, traces
@@ -162,10 +163,15 @@ def _cmd_train_dt(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = harness.load_run_config(args.config)
+    start = time.perf_counter()
     report = harness.evaluate_corpus(config)
+    eval_s = time.perf_counter() - start
     paths = harness.emit_report(report, config.output_dir)
     for agg in report.aggregates:
         print(f"{agg.algorithm:>6}: mean QoE {agg.mean_qoe:+.4f} +- {agg.std_qoe:.4f}")
+    # Throughput goes to stdout only: the report files stay byte-identical across runs.
+    sessions = len(report.sessions)
+    print(f"evaluated {sessions} sessions in {eval_s:.3f} s ({sessions / eval_s:.1f} sessions/s)")
     print(f"report written to {paths['json']}")
     return 0
 

@@ -7,7 +7,10 @@ state at the observation token, which under the causal mask has seen exactly
 the 3t-1 tokens preceding the pending action.  At decision time the window
 holds the last K timesteps with the newest action slot empty (3K-1 tokens
 once the window is full); early in a session the window simply holds fewer
-timesteps rather than padded placeholders.
+timesteps rather than padded placeholders.  ``embed_tokens`` builds this
+layout once, for training segments and decision windows alike, and
+``DtPolicy.decide_batch`` decides for a lock-step batch of sessions with one
+forward pass.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ class DtModel:
         self.ln_f = nn.LayerNorm(d, "dt.ln_f", dtype=dtype)
         # Small head gain keeps initial logits near zero (uniform policy).
         self.head = nn.Affine(d, config.action_count, rng, "dt.head", gain=0.01, dtype=dtype)
-        self._norm = config.obs_norm()
+        self.obs_scale = config.obs_norm()
 
     def params(self) -> list[nn.Param]:
         out = (
@@ -167,36 +170,45 @@ class DtModel:
     def named_arrays(self) -> dict[str, np.ndarray]:
         return {p.name: p.value for p in self.params()}
 
-    def normalize_obs(self, obs: np.ndarray) -> np.ndarray:
-        return np.asarray(obs, dtype=np.float64) / self._norm
+
+def embed_tokens(model: DtModel, t: np.ndarray, o: np.ndarray, r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Interleaved (return, observation, action) tokens of a batch of windows.
+
+    ``t`` (B, n) timesteps, ``o`` (B, n, obs_dim) raw observations and ``r``
+    (B, n) returns cover n timesteps; ``a`` (B, m, action_count) holds the
+    one-hot actions of the first m of them.  m = n gives the 3n tokens of
+    complete segments (training); m = n - 1 leaves the newest action pending
+    and gives the 3n-1 tokens of a decision.  Result: (B, 2n + m, D).
+    """
+    dtype = model.head.w.value.dtype
+    B, n = t.shape
+    m = a.shape[1]
+    if m not in (n - 1, n):
+        raise DtError(f"{m} actions for {n} timesteps; expected {n - 1} or {n}")
+    t_emb = model.embed_t.forward(t)
+    tokens = np.empty((B, 2 * n + m, model.config.embed_dim), dtype=dtype)
+    tokens[:, 0::3] = model.embed_r.forward(r[..., None].astype(dtype)) + t_emb
+    tokens[:, 1::3] = model.embed_o.forward((o / model.obs_scale).astype(dtype)) + t_emb
+    if m:
+        tokens[:, 2::3] = model.embed_a.forward(a.astype(dtype)) + t_emb[:, :m]
+    return tokens
 
 
 def tokenize_window(window: TrajectoryWindow, model: DtModel) -> np.ndarray:
-    """Embed a window into its interleaved (return, obs, action) token run.
+    """Embed one window into its (n_tokens, D) token run (see ``embed_tokens``).
 
     A pending newest action contributes no token, giving 3n-1 tokens for n
     timesteps at decision time and 3n for complete segments.
     """
     window.validate()
-    cfg = model.config
-    dtype = model.head.w.value.dtype
-    n = len(window)
-    t_idx = np.asarray(window.timesteps, dtype=np.int64)
-    t_emb = model.embed_t.forward(t_idx)
-    r_in = np.asarray(window.returns, dtype=dtype).reshape(n, 1)
-    o_in = np.stack([model.normalize_obs(o) for o in window.observations]).astype(dtype)
-    r_tok = model.embed_r.forward(r_in) + t_emb
-    o_tok = model.embed_o.forward(o_in) + t_emb
     complete = [a for a in window.actions if a is not None]
-    tokens = np.empty((3 * n - (1 if window.pending else 0), cfg.embed_dim), dtype=dtype)
-    tokens[0::3] = r_tok
-    tokens[1::3] = o_tok
-    if complete:
-        onehot = np.zeros((len(complete), cfg.action_count), dtype=dtype)
-        onehot[np.arange(len(complete)), complete] = 1.0
-        a_tok = model.embed_a.forward(onehot) + t_emb[: len(complete)]
-        tokens[2::3] = a_tok
-    return tokens
+    return embed_tokens(
+        model,
+        np.asarray(window.timesteps, dtype=np.int64)[None],
+        np.asarray(window.observations, dtype=np.float64)[None],
+        np.asarray(window.returns, dtype=np.float64)[None],
+        np.eye(model.config.action_count)[complete][None],
+    )[0]
 
 
 def dt_forward(
@@ -291,15 +303,7 @@ def _loss_and_grads(
     cfg = model.config
     dtype = model.head.w.value.dtype
     B, K = t.shape
-    t_emb = model.embed_t.forward(t)
-    r_tok = model.embed_r.forward(r[..., None].astype(dtype)) + t_emb
-    o_tok = model.embed_o.forward((o / model._norm).astype(dtype)) + t_emb
-    a_tok = model.embed_a.forward(a.astype(dtype)) + t_emb
-    tokens = np.empty((B, 3 * K, cfg.embed_dim), dtype=dtype)
-    tokens[:, 0::3] = r_tok
-    tokens[:, 1::3] = o_tok
-    tokens[:, 2::3] = a_tok
-    x = tokens
+    x = embed_tokens(model, t, o, r, a)
     for block in model.blocks:
         x = block.forward(x, train, rng)
     x = model.ln_f.forward(x)
@@ -402,11 +406,14 @@ def from_checkpoint(arrays: dict[str, np.ndarray], meta: dict) -> DtModel:
 
 
 class DtPolicy:
-    """Streaming policy: maintains the window, estimates QoE-to-go, decides.
+    """Streaming policy: maintains the windows, estimates QoE-to-go, decides.
 
-    The session's measured-throughput history (``state.measured_mbps``)
-    feeds the estimator through the same window statistics used when
-    building expert trajectories.
+    ``decide_batch`` serves every session of a lock-step run at once: the
+    windows live in (B, K, ...) arrays, the estimator runs once on a (B, 4)
+    feature matrix and the model once on a (B, 3n-1, D) token batch.  A
+    plain call is the one-session case.  The session's measured-throughput
+    history (``state.measured_mbps``) feeds the estimator through the same
+    window statistics used when building expert trajectories.
     """
 
     def __init__(
@@ -421,20 +428,40 @@ class DtPolicy:
         self.reset()
 
     def reset(self) -> None:
-        self._window: TrajectoryWindow | None = None
-        self._last_action: int | None = None
+        self._n = 0  # timesteps held in every window; the arrays are sized on the next call
 
     def __call__(self, state: SessionState, obs: Observation) -> int:
-        stats = est.throughput_stats(throughput_history(state.measured_mbps), window=self.stats_window)
-        r_hat = est.estimate(
-            self.estimator_model, est.features(stats, obs.buffer_s, obs.remaining_frac)
+        return self.decide_batch([state], [obs])[0]
+
+    def decide_batch(self, states: Sequence[SessionState], observations: Sequence[Observation]) -> list[int]:
+        """Levels for sessions in lock step: one more timestep in every window."""
+        K = self.model.config.context_len
+        B = len(states)
+        stats = est.throughput_stats([throughput_history(s.measured_mbps) for s in states], self.stats_window)
+        feats = est.features(
+            stats, np.array([o.buffer_s for o in observations]), np.array([o.remaining_frac for o in observations])
         )
-        if self._window is None:
-            self._window = start_window(
-                obs.vector(), r_hat, state.next_chunk, self.model.config.context_len
-            )
+        r_hat = est.estimate_batch(self.estimator_model, feats)
+        obs = np.stack([o.vector() for o in observations])
+        if self._n == 0:
+            self._t = np.zeros((B, K), dtype=np.int64)
+            self._o = np.zeros((B, K, obs.shape[1]))
+            self._r = np.zeros((B, K))
+            self._a = np.zeros((B, K), dtype=np.int64)
+            self._t[:, 0] = [s.next_chunk for s in states]
+        elif B != len(self._t):
+            raise DtError(f"batch of {B} sessions; the windows hold {len(self._t)}")
+        elif self._n == K:  # evict the oldest timestep
+            for arr in (self._t, self._o, self._r, self._a):
+                arr[:, :-1] = arr[:, 1:]
+            self._t[:, -1] += 1
         else:
-            self._window = update_window(self._window, self._last_action, obs.vector(), r_hat)
-        level = decide(self.model, self._window)
-        self._last_action = level
-        return level
+            self._t[:, self._n] = self._t[:, self._n - 1] + 1
+        self._n = n = min(self._n + 1, K)
+        self._o[:, n - 1] = obs
+        self._r[:, n - 1] = r_hat
+        onehot = np.eye(self.model.config.action_count)[self._a[:, : n - 1]]
+        tokens = embed_tokens(self.model, self._t[:, :n], self._o[:, :n], self._r[:, :n], onehot)
+        levels = np.argmax(dt_forward(self.model, tokens)[:, -1], axis=-1)
+        self._a[:, n - 1] = levels
+        return [int(level) for level in levels]

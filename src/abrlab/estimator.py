@@ -35,29 +35,37 @@ class EstimatorError(ValueError):
 
 @dataclass(frozen=True)
 class NetStats:
-    mean_mbps: float
-    stddev_mbps: float
+    """Throughput window statistics of one session, or (B,) arrays of B sessions."""
+
+    mean_mbps: float | np.ndarray
+    stddev_mbps: float | np.ndarray
 
 
 # Equal to throughput_stats(sim.throughput_history(())), before any download.
 STARTUP_PRIOR = NetStats(mean_mbps=STARTUP_THROUGHPUT_MBPS, stddev_mbps=0.0)
 
 
-def throughput_stats(history: Sequence[float], window: int = 4) -> NetStats:
+def throughput_stats(history, window: int = 4) -> NetStats:
     """Mean and population stddev of the last ``window`` throughput samples.
 
-    With fewer than ``window`` samples available, all of them are used.
+    With fewer than ``window`` samples available, all of them are used.  A
+    (B, n) ``history`` of B equally long histories gives (B,) arrays, each
+    row's stats equal to its own.
     """
     if window < 1:
         raise EstimatorError("window must be >= 1")
-    if len(history) == 0:
+    recent = np.asarray(history, dtype=np.float64)[..., -window:]
+    if recent.shape[-1] == 0:
         raise EstimatorError("throughput history is empty")
-    recent = np.asarray(history[-window:], dtype=np.float64)
-    return NetStats(float(recent.mean()), float(recent.std()))
+    mean, std = recent.mean(axis=-1), recent.std(axis=-1)
+    if recent.ndim == 1:
+        return NetStats(float(mean), float(std))
+    return NetStats(mean, std)
 
 
-def features(stats: NetStats, buffer_s: float, remaining_frac: float) -> np.ndarray:
-    raw = np.array([stats.mean_mbps, stats.stddev_mbps, buffer_s, remaining_frac])
+def features(stats: NetStats, buffer_s, remaining_frac) -> np.ndarray:
+    """Normalized (mean, stddev, buffer, remaining) features: (4,), or (B, 4) from (B,) arrays."""
+    raw = np.stack([stats.mean_mbps, stats.stddev_mbps, buffer_s, remaining_frac], axis=-1)
     return raw / FEATURE_SCALE
 
 
@@ -94,11 +102,15 @@ class EstimatorModel:
 
 def estimate(model: EstimatorModel, feats: np.ndarray) -> float:
     """Scalar QoE-to-go estimate, clamped below at zero."""
-    out = model.forward(np.asarray(feats, dtype=model.fc1.w.value.dtype).reshape(1, 4))
-    value = float(out[0, 0])
-    if not np.isfinite(value):
+    return float(estimate_batch(model, np.reshape(feats, (1, 4)))[0])
+
+
+def estimate_batch(model: EstimatorModel, feats: np.ndarray) -> np.ndarray:
+    """QoE-to-go estimates for a (B, 4) feature matrix, each clamped below at zero."""
+    out = model.forward(np.asarray(feats, dtype=model.fc1.w.value.dtype))[:, 0].astype(np.float64)
+    if not np.all(np.isfinite(out)):
         raise EstimatorError("estimator produced a non-finite value")
-    return max(value, 0.0)
+    return np.where(out < 0.0, 0.0, out)
 
 
 @dataclass

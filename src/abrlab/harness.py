@@ -144,7 +144,17 @@ def summarize_session(
     )
 
 
-PolicyFactory = Callable[[traces.NetworkTrace], sim.Policy]
+PolicyFactory = Callable[[Sequence[traces.NetworkTrace]], object]
+
+
+@dataclass(frozen=True)
+class PlanFollower:
+    """Replays one fixed action plan per session of a lock-step corpus run."""
+
+    plans: tuple[Sequence[int], ...]
+
+    def decide_batch(self, states: Sequence[sim.SessionState], observations) -> list[int]:
+        return [plan[s.next_chunk] for plan, s in zip(self.plans, states)]
 
 
 def make_policy_factory(
@@ -154,30 +164,30 @@ def make_policy_factory(
     sim_config: sim.SimConfig,
     dp_config: expert.DpConfig,
 ) -> PolicyFactory:
-    """Resolve an algorithm spec to a per-trace policy constructor."""
+    """Resolve an algorithm spec to a constructor of the policy for a test corpus.
+
+    The policy drives every session of the corpus in one ``sim.run_sessions``
+    call; only dp depends on the traces, with one plan per trace.
+    """
     name, settings = spec.name, spec.settings
     if name == "bb":
         cfg = baselines.BbConfig(**_pick(settings, "reservoir_s", "cushion_s"))
-        return lambda trace: baselines.BufferBasedPolicy(manifest.ladder, cfg)
+        return lambda corpus: baselines.BufferBasedPolicy(manifest.ladder, cfg)
     if name == "rb":
         window = int(settings.get("pred_window", 5))
-        return lambda trace: baselines.RateBasedPolicy(manifest.ladder, window)
+        return lambda corpus: baselines.RateBasedPolicy(manifest.ladder, window)
     if name == "mpc":
         cfg = baselines.MpcConfig(**_pick(settings, "horizon", "error_window", "pred_window"))
-        return lambda trace: baselines.RobustMpcPolicy(manifest, params, cfg, sim_config)
+        return lambda corpus: baselines.RobustMpcPolicy(manifest, params, cfg, sim_config)
     if name == "dt":
         model, estimator_model = _load_dt_bundle(settings)
         window = int(settings.get("stats_window", 4))
-        return lambda trace: dt.DtPolicy(model, estimator_model, window)
+        return lambda corpus: dt.DtPolicy(model, estimator_model, window)
     if name == "dp":
         cfg = replace(dp_config, **_pick(settings, "buffer_quantum_s", "time_quantum_s", "dominance_prune"))
-
-        def dp_factory(trace: traces.NetworkTrace) -> sim.Policy:
-            plan = expert.dp_plan(manifest, trace, params, None, cfg, sim_config)
-            actions = plan.actions
-            return lambda state, obs: actions[state.next_chunk]
-
-        return dp_factory
+        return lambda corpus: PlanFollower(
+            tuple(expert.dp_plan(manifest, trace, params, None, cfg, sim_config).actions for trace in corpus)
+        )
     raise HarnessError(f"unknown algorithm {name!r}")
 
 
@@ -203,7 +213,8 @@ def evaluate_corpus(
 ) -> EvalReport:
     """Run every configured algorithm over every test trace.
 
-    Pass preloaded ``manifest``/``test_traces`` to skip file IO (the pipeline
+    Each algorithm drives all test sessions in lock step, one
+    ``sim.run_sessions`` call per algorithm.  Pass preloaded ``manifest``/``test_traces`` to skip file IO (the pipeline
     does); otherwise they are loaded from the paths in the config.
     """
     if manifest is None or test_traces is None:
@@ -220,11 +231,8 @@ def evaluate_corpus(
     cdf: dict[str, dict[str, list[float]]] = {}
     for spec in config.algorithms:
         factory = make_policy_factory(spec, manifest, config.qoe_params, config.sim_config, config.dp_config)
-        rows = []
-        for trace in test_traces:
-            policy = factory(trace)
-            log = sim.run_policy(policy, manifest, trace, config.sim_config, config.qoe_params)
-            rows.append(summarize_session(spec.name, log, config.qoe_params))
+        logs = sim.run_sessions(factory(test_traces), manifest, test_traces, config.sim_config, config.qoe_params)
+        rows = [summarize_session(spec.name, log, config.qoe_params) for log in logs]
         sessions.extend(rows)
         means = np.array([r.mean_qoe for r in rows])
         aggregates.append(
@@ -326,12 +334,9 @@ class SweepContext:
         return self._models[key]
 
     def evaluate_model(self, model: dt.DtModel, stats_window: int) -> tuple[float, float]:
-        means = []
-        for trace in self.test_traces:
-            policy = dt.DtPolicy(model, self.estimator_model, stats_window)
-            log = sim.run_policy(policy, self.manifest, trace, self.sim_config, self.params)
-            means.append(summarize_session("dt", log, self.params).mean_qoe)
-        arr = np.asarray(means)
+        policy = dt.DtPolicy(model, self.estimator_model, stats_window)
+        logs = sim.run_sessions(policy, self.manifest, self.test_traces, self.sim_config, self.params)
+        arr = np.asarray([summarize_session("dt", log, self.params).mean_qoe for log in logs])
         return float(arr.mean()), float(arr.std())
 
 

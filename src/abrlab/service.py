@@ -10,6 +10,7 @@ answer any request, and identical requests get identical responses.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
@@ -40,6 +41,21 @@ class DecisionBundle:
             raise ValueError(f"stats_window {self.stats_window} must be in [1, context_len={K}]")
 
 
+def _number(value, name: str, minimum: float | None = None) -> float:
+    """A finite JSON number (not a bool or a numeric string), at least ``minimum`` if given."""
+    if type(value) not in (int, float):
+        raise RequestError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise RequestError(f"{name} is out of range") from None
+    if not math.isfinite(x):
+        raise RequestError(f"{name} must be finite, got {value!r}")
+    if minimum is not None and x < minimum:
+        raise RequestError(f"{name} must be >= {minimum}, got {value!r}")
+    return x
+
+
 def _parse_observation(doc: dict, expected_sizes: int) -> Observation:
     if not isinstance(doc, dict):
         raise RequestError("each observation must be an object")
@@ -49,15 +65,16 @@ def _parse_observation(doc: dict, expected_sizes: int) -> Observation:
     sizes = doc["next_chunk_sizes_bytes"]
     if not isinstance(sizes, list) or len(sizes) != expected_sizes:
         raise RequestError(f"next_chunk_sizes_bytes must be a list of {expected_sizes} values")
+    fields = dict(
+        buffer_s=_number(doc["buffer_s"], "buffer_s", 0.0),
+        throughput_mbps=_number(doc["throughput_mbps"], "throughput_mbps"),
+        download_s=_number(doc["download_s"], "download_s", 0.0),
+        next_chunk_sizes_bytes=np.array([_number(x, "next_chunk_sizes_bytes", 0.0) for x in sizes]),
+        remaining_frac=_number(doc["remaining_frac"], "remaining_frac"),
+    )
     try:
-        return Observation(
-            buffer_s=float(doc["buffer_s"]),
-            throughput_mbps=float(doc["throughput_mbps"]),
-            download_s=float(doc["download_s"]),
-            next_chunk_sizes_bytes=np.asarray(sizes, dtype=np.float64),
-            remaining_frac=float(doc["remaining_frac"]),
-        )
-    except (TypeError, ValueError) as exc:
+        return Observation(**fields)
+    except ValueError as exc:  # Observation's own range checks
         raise RequestError(f"invalid observation: {exc}") from None
 
 
@@ -101,9 +118,10 @@ def handle_decide(bundle: DecisionBundle, payload: dict) -> tuple[int, dict]:
         n_actions = bundle.model.config.action_count
         acts = []
         for a in actions:
-            if not isinstance(a, int) or not 0 <= a < n_actions:
-                raise RequestError(f"action {a!r} outside [0, {n_actions})")
+            if type(a) is not int or not 0 <= a < n_actions:
+                raise RequestError(f"action {a!r} is not an integer in [0, {n_actions})")
             acts.append(a)
+        past_returns = [_number(r, "window.returns") for r in returns]
         expected_sizes = bundle.model.config.obs_dim - 4
         obs = [_parse_observation(o, expected_sizes) for o in observations]
     except RequestError as exc:
@@ -122,7 +140,7 @@ def handle_decide(bundle: DecisionBundle, payload: dict) -> tuple[int, dict]:
             context_len=K,
             timesteps=list(timesteps),
             observations=[o.vector() for o in obs],
-            returns=[float(r) for r in returns] + [r_hat],
+            returns=past_returns + [r_hat],
             actions=acts + [None],
         )
         level = dt.decide(bundle.model, window)
@@ -141,6 +159,8 @@ def make_server(bundle: DecisionBundle, host: str = "127.0.0.1", port: int = 0) 
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:
+                    raise ValueError(f"negative Content-Length {length}")
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
                 self._reply(400, {"error": f"bad request body: {exc}"})

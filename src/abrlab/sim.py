@@ -10,6 +10,9 @@ When a finished download would push the buffer above its cap, the client
 sleeps until the buffer drains to the cap, with the wall clock (and hence
 the trace) advancing during the sleep.  ``transition`` holds this buffer
 arithmetic once; the planner and the MPC rollout apply it to arrays.
+``run_sessions`` is the one session loop: it advances every session of a
+corpus by one chunk per step, so a batch policy decides for all of them in
+one call; ``run_policy`` is its one-trace case.
 """
 
 from __future__ import annotations
@@ -286,6 +289,51 @@ class SessionLog:
 Policy = Callable[[SessionState, Observation], int]
 
 
+def run_sessions(
+    policy,
+    manifest: VideoManifest,
+    traces: Sequence[NetworkTrace],
+    config: SimConfig = SimConfig(),
+    params: QoeParams = QoeParams(),
+) -> list[SessionLog]:
+    """Drive one session per trace in lock step; deterministic with the inputs.
+
+    Every step advances each session by one chunk.  A policy with
+    ``decide_batch(states, observations)`` picks the levels of all sessions
+    in one call; a plain ``Policy`` callable is applied per session.
+    Stateful policies may expose ``reset()``, called before the first chunk.
+    Each session steps through ``step`` with its own BandwidthProfile, so its
+    log equals a run over its trace alone.
+    """
+    states = [init_session(trace) for trace in traces]
+    profiles = [BandwidthProfile(trace, config.link_efficiency) for trace in traces]
+    reset = getattr(policy, "reset", None)
+    if reset is not None:
+        reset()
+    decide_batch = getattr(policy, "decide_batch", None) or (
+        lambda states, observations: [policy(s, o) for s, o in zip(states, observations)]
+    )
+    obs = [observe(manifest, state) for state in states]
+    records: list[list[ChunkRecord]] = [[] for _ in traces]
+    observations: list[list[Observation]] = [[] for _ in traces]
+    for t in range(manifest.chunk_count):
+        levels = decide_batch(states, obs)
+        if len(levels) != len(traces):
+            raise SimError(f"policy returned {len(levels)} levels for {len(traces)} sessions at chunk {t}")
+        for i, level in enumerate(levels):
+            if not isinstance(level, (int, np.integer)) or not 0 <= level < len(manifest.ladder):
+                raise SimError(f"policy returned invalid level {level!r} at chunk {t}")
+            observations[i].append(obs[i])
+            obs[i], record, states[i] = step(
+                states[i], int(level), manifest, traces[i], config, params, profiles[i]
+            )
+            records[i].append(record)
+    return [
+        SessionLog(records=recs, observations=seen, final_state=state, trace_tag=trace.source_tag)
+        for recs, seen, state, trace in zip(records, observations, states, traces)
+    ]
+
+
 def run_policy(
     policy: Policy,
     manifest: VideoManifest,
@@ -293,26 +341,8 @@ def run_policy(
     config: SimConfig = SimConfig(),
     params: QoeParams = QoeParams(),
 ) -> SessionLog:
-    """Drive one full session under ``policy``; deterministic with the inputs.
-
-    Stateful policies may expose ``reset()``, called before the first chunk.
-    """
-    state = init_session(trace)
-    profile = BandwidthProfile(trace, config.link_efficiency)
-    reset = getattr(policy, "reset", None)
-    if reset is not None:
-        reset()
-    obs = observe(manifest, state)
-    records: list[ChunkRecord] = []
-    observations: list[Observation] = []
-    for t in range(manifest.chunk_count):
-        level = policy(state, obs)
-        if not isinstance(level, (int, np.integer)) or not 0 <= level < len(manifest.ladder):
-            raise SimError(f"policy returned invalid level {level!r} at chunk {t}")
-        observations.append(obs)
-        obs, record, state = step(state, int(level), manifest, trace, config, params, profile)
-        records.append(record)
-    return SessionLog(records=records, observations=observations, final_state=state, trace_tag=trace.source_tag)
+    """Drive one full session under ``policy``: ``run_sessions`` over one trace."""
+    return run_sessions(policy, manifest, [trace], config, params)[0]
 
 
 def save_session_log(log: SessionLog, path: str | Path) -> None:

@@ -6,11 +6,14 @@ buffer update; it shares no code with the simulator's transition or
 bandwidth profile, nor with the dynamic program it checks.  The
 aligned-instance generator produces manifests/traces whose download times,
 buffers, and wall clocks always land exactly on the planner's quantization
-grid, so planner totals must match enumeration to float round-off.
+grid, so planner totals must match enumeration to float round-off.  The flat
+robust-MPC rollout replays every level sequence of the horizon in full, with
+its own buffer update, as the reference for the prefix-tree search.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +79,34 @@ def brute_force_plan(manifest, trace, params=None, sim_config=None):
 
     recurse(0, 0.0, 0.0, qoe.FIRST_CHUNK, 0.0, [])
     return best[0], best[1]
+
+
+def flat_mpc_first_level(state, manifest, forecast_mbps, horizon, params, sim_config) -> int:
+    """Robust-MPC first level by replaying all n^H level sequences of the horizon.
+
+    Sequences enumerate in ascending lexicographic order and the first
+    maximum wins, so ties resolve toward lower bitrates.
+    """
+    t0 = state.next_chunk
+    H = min(horizon, manifest.chunk_count - t0)
+    seqs = np.array(list(itertools.product(range(len(manifest.ladder)), repeat=H)), dtype=np.int64)
+    q_lv = params.quality_scale * np.asarray(manifest.ladder.levels)
+    rate_bits = forecast_mbps * 1e6
+    buffer = np.full(len(seqs), state.buffer_s)
+    value = np.zeros(len(seqs))
+    q_prev = None if state.last_level is None else q_lv[state.last_level]
+    for i in range(H):
+        t = t0 + i
+        lv = seqs[:, i]
+        d = manifest.chunk_sizes_bytes[t, lv] * 8.0 / rate_bits
+        # the first chunk's wait is startup delay, not rebuffering
+        rebuffer = 0.0 if t == 0 else np.maximum(d - buffer, 0.0)
+        buffer = np.minimum(np.maximum(buffer - d, 0.0) + manifest.chunk_duration_s, sim_config.buffer_cap_s)
+        q = q_lv[lv]
+        smooth = 0.0 if q_prev is None else np.abs(q - q_prev)
+        value += q - params.rebuffer_penalty * rebuffer - params.smooth_penalty * smooth
+        q_prev = q
+    return int(seqs[int(np.argmax(value)), 0])
 
 
 @dataclass

@@ -18,6 +18,7 @@ from abrlab.baselines import (
 from abrlab.qoe import BitrateLadder, VideoManifest
 from abrlab.sim import SessionState
 
+import oracles
 from conftest import constant_trace
 
 
@@ -127,6 +128,36 @@ def test_mpc_matches_planner_first_action_on_stationary_traces(params):
         mpc = robust_mpc_decide(state0, manifest, [bw], MpcConfig(horizon=T), params)
         assert plan.actions[0] == best_seq[0]
         assert mpc == best_seq[0]
+
+
+@pytest.mark.parametrize("horizon", [1, 3, 5])
+@pytest.mark.parametrize("t0", [0, 6, 9])
+def test_prefix_tree_matches_flat_rollout(horizon, t0, params):
+    # 12 chunks: from t0 = 9 only 3 remain, so horizon 5 is cut short.
+    rng = np.random.default_rng(10 * horizon + t0)
+    manifest = qoe.make_manifest(12, 4.0, size_jitter=0.2, seed=3)
+    sim_config = sim.SimConfig(buffer_cap_s=20.0)
+    config = MpcConfig(horizon=horizon)
+    states = [
+        SessionState(
+            next_chunk=t0,
+            buffer_s=0.0 if t0 == 0 else float(rng.uniform(0.0, 25.0)),
+            last_level=None if t0 == 0 or i % 5 == 0 else int(rng.integers(0, 6)),
+        )
+        for i in range(24)
+    ]
+    forecasts = rng.uniform(0.2, 6.0, size=len(states))
+    levels = baselines.mpc_first_levels(states, manifest, forecasts, config, params, sim_config)
+    expected = [
+        oracles.flat_mpc_first_level(s, manifest, float(f), horizon, params, sim_config)
+        for s, f in zip(states, forecasts)
+    ]
+    assert levels.tolist() == expected
+    alone = [
+        int(baselines.mpc_first_levels([s], manifest, [f], config, params, sim_config)[0])
+        for s, f in zip(states, forecasts)
+    ]
+    assert alone == expected
 
 
 def test_policies_drive_sessions(small_manifest):

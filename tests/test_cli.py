@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 from abrlab import cli, qoe, traces
 
@@ -59,11 +60,18 @@ def test_cli_full_workflow(tmp_path, capsys):
     }
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(run_cfg))
+    capsys.readouterr()
     assert run(["eval", "--config", str(cfg_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # Evaluation throughput follows the per-algorithm lines, on stdout only.
+    assert [line.split(":")[0].strip() for line in lines[:4]] == ["bb", "rb", "dt", "dp"]
+    assert re.fullmatch(r"evaluated 8 sessions in [0-9.]+ s \([0-9.]+ sessions/s\)", lines[4])
     report_path = out / "report" / "report.json"
     assert report_path.exists()
     doc = json.loads(report_path.read_text())
     assert {a["algorithm"] for a in doc["aggregates"]} == {"bb", "rb", "dt", "dp"}
+    for name in ("report.json", "summary.csv", "cdf.csv"):
+        assert "sessions/s" not in (out / "report" / name).read_text()
 
     assert run(["report", "--report", str(report_path), "--out", str(out / "again")]) == 0
     assert (out / "again" / "summary.csv").read_bytes() == (out / "report" / "summary.csv").read_bytes()

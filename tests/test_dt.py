@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from abrlab import dt, estimator as est, expert, nn, qoe, sim
+from abrlab import dt, estimator as est, expert, nn, qoe, sim, traces
 from abrlab.dt import (
     DtConfig,
     DtError,
@@ -194,3 +194,44 @@ def test_dt_policy_runs_session():
     log_b = sim.run_policy(dt.DtPolicy(model, estimator_model, 4), manifest, trace)
     assert len(log_a.records) == 6
     assert [r.chosen_level for r in log_a.records] == [r.chosen_level for r in log_b.records]
+
+
+def test_batched_decisions_match_single_windows():
+    model = DtModel(TINY, seed=4)
+    model.head.w.value *= 100.0  # logits of order 1, so 1e-5 is a tight bound
+    for n in range(1, TINY.context_len + 1):
+        windows = [make_window(n, seed=10 * n + b) for b in range(12)]
+        for b, window in enumerate(windows):
+            window.timesteps = [t + 3 * b for t in window.timesteps]
+        complete = np.eye(TINY.action_count)[np.array([w.actions[:-1] for w in windows], dtype=np.int64)]
+        tokens = dt.embed_tokens(
+            model,
+            np.array([w.timesteps for w in windows]),
+            np.array([w.observations for w in windows]),
+            np.array([w.returns for w in windows]),
+            complete,
+        )
+        batched = dt_forward(model, tokens)[:, -1]
+        for b, window in enumerate(windows):
+            single = dt_forward(model, tokenize_window(window, model))[-1]
+            assert np.max(np.abs(batched[b] - single)) < 1e-5
+            assert int(np.argmax(batched[b])) == decide(model, window)
+
+
+def test_dt_policy_lock_step_matches_single_sessions():
+    manifest = qoe.make_manifest(chunk_count=12)
+    model = DtModel(TINY, seed=8)
+    model.head.w.value *= 100.0
+    estimator_model = est.EstimatorModel(hidden=8, seed=1)
+    corpus = [constant_trace(mbps, tag=f"c{mbps}") for mbps in (0.4, 1.1, 2.5, 6.0)]
+    corpus += [traces.gen_synthetic_trace(traces.SyntheticSpec(1.5, 0.8, 120.0, seed=s)) for s in range(4)]
+    policy = dt.DtPolicy(model, estimator_model, stats_window=3)
+    batched = [[r.chosen_level for r in log.records] for log in sim.run_sessions(policy, manifest, corpus)]
+    single = [
+        [r.chosen_level for r in sim.run_policy(dt.DtPolicy(model, estimator_model, 3), manifest, trace).records]
+        for trace in corpus
+    ]
+    assert batched == single
+    assert len({level for levels in single for level in levels}) > 1
+    with pytest.raises(DtError, match="batch"):
+        policy.decide_batch([sim.SessionState()], [sim.observe(manifest, sim.SessionState())])

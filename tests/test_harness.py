@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.request
@@ -87,25 +88,42 @@ def test_report_identity_and_roundtrip(tmp_path, eval_setup):
 # Exact aggregate rows (mean, std, utility, rebuffer, smoothness, sessions)
 # of a small seeded switching corpus on which the 12 s buffer cap binds and
 # every rule-based policy stalls: any drift in the simulator, planner or MPC
-# dynamics changes them.
+# dynamics changes them.  The dt row is a seeded 10-step model's.
 PINNED_ROWS = {
     "bb": (0.6109425239175221, 0.5744425924905614, 1.6556250000000003, 0.5640574760824781, 0.480625, 4),
     "rb": (-0.9301120117357655, 1.0898486358271797, 2.3362500000000006, 2.875112011735766, 0.39125, 4),
     "mpc": (0.09312244986785267, 1.4037587322786762, 1.7906249999999995, 1.105627550132147, 0.5918749999999999, 4),
     "dp": (1.9589607779297464, 0.4097697815073101, 2.498125, 0.1829142220702534, 0.35624999999999996, 4),
+    "dt": (-1.485513657702689, 2.3840473723687876, 2.9950000000000006, 4.3355136577026885, 0.14499999999999996, 4),
 }
+PIN_SIM = sim.SimConfig(buffer_cap_s=12.0)
+PIN_DP = expert.DpConfig(dominance_prune=True)
 
 
-def test_pinned_aggregate_rows():
+@pytest.fixture(scope="module")
+def pinned_setup():
     corpus = harness.PipelineConfig(trace_duration_s=150.0, mu_range=(0.4, 6.0))
     test_traces = harness.make_switching_corpus(4, corpus, 5, "pin")
     manifest = qoe.make_manifest(20, 4.0, size_jitter=0.1, seed=5)
+    train_traces = harness.make_switching_corpus(4, corpus, 6, "pintrain")
+    estimator_model = est.EstimatorModel(hidden=16, seed=5)
+    trajectories = expert.build_expert_trajectories(
+        train_traces, manifest, qoe.QoeParams(), estimator_model, 4, PIN_DP, PIN_SIM
+    )
+    config = dt.DtConfig(context_len=4, embed_dim=32, blocks=2, obs_dim=sim.obs_dim(6), max_timestep=20)
+    model, _ = dt.train_dt(trajectories, config, dt.DtTrainConfig(steps=10, batch_size=16, seed=5))
+    return manifest, test_traces, model, estimator_model
+
+
+def test_pinned_aggregate_rows(pinned_setup):
+    manifest, test_traces, model, estimator_model = pinned_setup
+    settings = {"dt": {"model": model, "estimator_model": estimator_model, "stats_window": 4}}
     config = RunConfig(
         manifest_path="<mem>",
         test_trace_paths=[],
-        algorithms=[AlgorithmSpec(name) for name in PINNED_ROWS],
-        sim_config=sim.SimConfig(buffer_cap_s=12.0),
-        dp_config=expert.DpConfig(dominance_prune=True),
+        algorithms=[AlgorithmSpec(name, settings.get(name, {})) for name in PINNED_ROWS],
+        sim_config=PIN_SIM,
+        dp_config=PIN_DP,
     )
     report = evaluate_corpus(config, manifest, test_traces)
     rows = {
@@ -113,6 +131,40 @@ def test_pinned_aggregate_rows():
         for a in report.aggregates
     }
     assert rows == PINNED_ROWS
+
+
+def _run_alone(decide, manifest, trace, config):
+    """Reference session loop: scalar decisions, one trace, no batching."""
+    state = sim.init_session(trace)
+    obs = sim.observe(manifest, state)
+    records, observations = [], []
+    for _ in range(manifest.chunk_count):
+        observations.append(obs)
+        obs, record, state = sim.step(state, decide(state, obs), manifest, trace, config)
+        records.append(record)
+    return records, observations, state
+
+
+@pytest.mark.parametrize("name", ["bb", "rb", "mpc", "dp"])
+def test_lock_step_sessions_match_single_runs(pinned_setup, name):
+    manifest, test_traces, _, _ = pinned_setup
+    params = qoe.QoeParams()
+    factory = harness.make_policy_factory(AlgorithmSpec(name), manifest, params, PIN_SIM, PIN_DP)
+    logs = sim.run_sessions(factory(test_traces), manifest, test_traces, PIN_SIM, params)
+    assert [log.trace_tag for log in logs] == [t.source_tag for t in test_traces]
+    for log, trace in zip(logs, test_traces):
+        if name == "dp":
+            actions = expert.dp_plan(manifest, trace, params, None, PIN_DP, PIN_SIM).actions
+            decide = lambda state, obs: actions[state.next_chunk]  # noqa: E731
+        else:
+            decide = factory([trace])
+        records, observations, final_state = _run_alone(decide, manifest, trace, PIN_SIM)
+        assert log.records == records
+        assert log.final_state == final_state
+        assert [o.vector().tolist() for o in log.observations] == [o.vector().tolist() for o in observations]
+    assert any(r.rebuffer_s > 0 for log in logs for r in log.records)
+    if name != "dp":  # the plan avoids the cap's idle sleeps
+        assert any(log.final_state.sleep_total_s > 0 for log in logs)
 
 
 def test_run_config_validation(tmp_path):
@@ -280,6 +332,38 @@ def test_handle_decide_rejects_malformed_ladder(service_bundle, ladder):
     assert status == 400 and "ladder_kbps" in body["error"]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("buffer_s", "8.0"),
+        ("remaining_frac", True),
+        ("throughput_mbps", "nan"),
+        ("throughput_mbps", float("nan")),
+        ("throughput_mbps", float("inf")),
+        ("download_s", -float("inf")),
+        ("buffer_s", -5),
+        ("download_s", -0.5),
+        ("buffer_s", 10**400),
+        ("next_chunk_sizes_bytes", ["1e5"] * 6),
+        ("next_chunk_sizes_bytes", [1e5, 2e5, 3e5, 4e5, 5e5, float("nan")]),
+        ("returns", float("nan")),
+        ("returns", "high"),
+        ("returns", None),
+        ("actions", True),
+        ("actions", 2.0),
+    ],
+)
+def test_handle_decide_rejects_bad_numbers(service_bundle, key, value):
+    request = well_formed_request()
+    window = request["window"]
+    if key in ("returns", "actions"):
+        window[key][0] = value
+    else:
+        window["observations"][-1][key] = value
+    status, body = service.handle_decide(service_bundle, request)
+    assert status == 400 and "error" in body
+
+
 def test_bundle_refuses_stats_window_beyond_context(service_bundle, tmp_path, capsys, monkeypatch):
     K = service_bundle.model.config.context_len
     for window in (K + 1, 0):
@@ -305,6 +389,26 @@ def test_handle_decide_model_failure_is_5xx(service_bundle):
     broken.estimator_model.fc2.w.value[...] = np.nan
     status, body = service.handle_decide(broken, well_formed_request())
     assert status == 500 and "error" in body
+
+
+def test_http_server_rejects_negative_content_length(service_bundle):
+    server = service.make_server(service_bundle, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=5)
+        conn.putrequest("POST", "/decide")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", "-1")
+        conn.endheaders(json.dumps(well_formed_request()).encode())
+        resp = conn.getresponse()  # the connection stays open: a read to EOF would time out
+        assert resp.status == 400
+        assert "Content-Length" in json.loads(resp.read())["error"]
+        conn.close()
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_http_server_roundtrip(service_bundle):
