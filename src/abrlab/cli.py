@@ -138,11 +138,21 @@ def _cmd_make_expert(args) -> int:
     estimator_model = est.load_estimator(args.estimator)
     corpus = _resolve_traces(args.traces, args.split)
     dp_cfg = expert.DpConfig(dominance_prune=args.prune)
-    trajectories = expert.build_expert_trajectories(
-        corpus, manifest, qoe.QoeParams(), estimator_model, args.stats_window, dp_cfg
-    )
+    start = time.perf_counter()
+    sessions = [expert.plan_session(manifest, trace, qoe.QoeParams(), dp_cfg) for trace in corpus]
+    plan_s = time.perf_counter() - start
+    trajectories = [
+        expert.trajectory_from_log(log, plan, estimator_model, args.stats_window) for plan, log in sessions
+    ]
     expert.save_trajectories(trajectories, args.out)
     print(f"wrote {len(trajectories)} trajectories to {args.out}")
+    # Planner throughput and frontier go to stdout only, never into the trajectory file.
+    peak = max((int(plan.frontier[:, 0].max()) for plan, _ in sessions), default=0)
+    rate = len(sessions) / max(plan_s, 1e-9)
+    print(
+        f"planned {len(sessions)} sessions in {plan_s:.3f} s ({rate:.1f} sessions/s); "
+        f"peak frontier {peak} of max_states {dp_cfg.max_states} candidate states"
+    )
     return 0
 
 

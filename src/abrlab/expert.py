@@ -3,11 +3,14 @@
 The planner runs a forward dynamic program over states
 (chunk index, quantized buffer, last level, quantized wall time), with the
 per-chunk QoE as the reward.  Each expansion applies the simulator's own
-``BandwidthProfile`` download solve and ``sim.transition`` to the whole
-candidate array.  Buffer and wall time are re-quantized after every
-transition, so the search is exact whenever the true values land on
-quantization points and otherwise accurate to a bound that scales with the
-quanta.
+``BandwidthProfile`` download solve and ``sim.transition`` to (parent,
+action) arrays, with one download start per parent; candidates that reach
+the same state are merged by one stable sort on the state key, and the
+optional dominance prune works on integer value ranks.  ``Plan.frontier``
+records the state counts of every chunk.  Buffer and wall time are
+re-quantized after every transition, so the search is exact whenever the
+true values land on quantization points and otherwise accurate to a bound
+that scales with the quanta.
 
 Expert trajectories pair each decision-time observation along the optimal
 path with the estimator's QoE-to-go output and the optimal action as a
@@ -17,7 +20,7 @@ one-hot distribution; they are the training unit for the sequence model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -67,6 +70,9 @@ class Plan:
     total_qoe: float
     value_to_go: np.ndarray
     start_chunk: int = 0
+    # One row per planned chunk: candidate states, distinct states after the
+    # merge, states kept after dominance pruning.
+    frontier: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=np.int64))
 
 
 def dp_plan(
@@ -107,6 +113,7 @@ def dp_plan(
     # On a constant-bandwidth trace the download time is position-free, so
     # wall time can be dropped from the state identity.
     time_free = len(profile.seg_rates) == 1
+    sizes_bits = manifest.chunk_sizes_bytes * 8.0
     levels = np.arange(n_lv, dtype=np.int64)
 
     tq = np.array([int(round(state0.wall_clock_s / dq_t))], dtype=np.int64)
@@ -116,6 +123,7 @@ def dp_plan(
     )
     val = np.zeros(1)
     back: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (parent, action, value)
+    frontier: list[tuple[int, int, int]] = []
 
     for t in range(t0, T):
         n = len(val)
@@ -124,45 +132,32 @@ def dp_plan(
                 f"{n * n_lv} candidate states at chunk {t} exceed max_states="
                 f"{dp_config.max_states}; use coarser buffer/time quanta"
             )
-        w_exp = np.repeat(tq, n_lv) * dq_t
-        b_exp = np.repeat(bq, n_lv) * dq_b
-        last_exp = np.repeat(last, n_lv)
-        val_exp = np.repeat(val, n_lv)
-        parent = np.repeat(np.arange(n, dtype=np.int64), n_lv)
-        act = np.tile(levels, n)
-        size_exp = manifest.chunk_sizes_bytes[t, act] * 8.0
+        # Candidates are (parent, action) cells of (n, n_lv) arrays; the
+        # download solve starts from one position per parent.
+        w = (tq * dq_t)[:, None]
+        d = profile.download_time(w, sizes_bits[t])
+        _, rebuf, b_new, sleep = transition((bq * dq_b)[:, None], d, t == 0, dur, cap)
+        w_new = (w + d + sleep).ravel()
+        val_new = (val[:, None] + q_lv - params.rebuffer_penalty * rebuf - smooth[last + 1]).ravel()
+        tq_new = np.rint(w_new / dq_t).astype(np.int64)
+        bq_new = np.rint(b_new.ravel() / dq_b).astype(np.int64)
+        key_t = 0 if time_free else tq_new
+        key = ((key_t * (max_bq + 1) + bq_new).reshape(n, n_lv) * n_lv + levels).ravel()
 
-        d = profile.download_time(w_exp, size_exp)
-        _, rebuf, b_new, sleep = transition(b_exp, d, t == 0, dur, cap)
-        w_new = w_exp + d + sleep
-        val_new = val_exp + q_lv[act] - params.rebuffer_penalty * rebuf - smooth[last_exp + 1, act]
-
-        within = w_new <= dp_config.max_time_s
-        if not np.any(within):
+        sel = _best_per_key(key, val_new, w_new <= dp_config.max_time_s)
+        if len(sel) == 0:
             raise DpError(
                 f"all states passed max_time_s={dp_config.max_time_s} at chunk {t}"
             )
-        tq_new = np.rint(w_new / dq_t).astype(np.int64)
-        bq_new = np.rint(b_new / dq_b).astype(np.int64)
-
-        key_t = np.zeros_like(tq_new) if time_free else tq_new
-        key = (key_t * (max_bq + 1) + bq_new) * n_lv + act
-        # ties at equal value resolve toward the lower level, then the
-        # earlier parent, keeping plans deterministic and rebuffer-averse
-        order = np.lexsort((parent, act, -val_new, key))
-        order = order[within[order]]
-        k_sorted = key[order]
-        first = np.empty(len(order), dtype=bool)
-        if len(order):
-            first[0] = True
-            first[1:] = k_sorted[1:] != k_sorted[:-1]
-        sel = order[first]
-
+        distinct = len(sel)
+        act = sel % n_lv
         if dp_config.dominance_prune and not time_free:
-            sel = sel[_dominant_mask(tq_new[sel], bq_new[sel], act[sel], val_new[sel], max_bq)]
+            keep = _dominant_mask(tq_new[sel], bq_new[sel], act, val_new[sel], max_bq)
+            sel, act = sel[keep], act[keep]
+        frontier.append((n * n_lv, distinct, len(sel)))
 
-        tq, bq, last, val = tq_new[sel], bq_new[sel], act[sel], val_new[sel]
-        back.append((parent[sel], act[sel], val))
+        tq, bq, last, val = tq_new[sel], bq_new[sel], act, val_new[sel]
+        back.append((sel // n_lv, act, val))
 
     total = float(val.max())
     candidates = np.flatnonzero(val >= total - 1e-12)[:64]
@@ -182,23 +177,68 @@ def dp_plan(
             best_actions, best_cum = actions, cum
     cum_before = np.concatenate(([0.0], np.asarray(best_cum[:-1])))
     value_to_go = total - cum_before
-    return Plan(actions=best_actions, total_qoe=total, value_to_go=value_to_go, start_chunk=t0)
+    return Plan(
+        actions=best_actions,
+        total_qoe=total,
+        value_to_go=value_to_go,
+        start_chunk=t0,
+        frontier=np.array(frontier, dtype=np.int64),
+    )
+
+
+def _best_per_key(key: np.ndarray, val: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """Index of the best candidate per distinct key among ``within``, in key order.
+
+    The best has the highest value; ties go to the lowest index, i.e. the
+    earliest parent, since the key already fixes the action.
+    """
+    order = np.argsort(key, kind="stable")
+    if not within.all():
+        order = order[within[order]]
+    k, v = key[order], val[order]
+    start = np.empty(len(k), dtype=bool)
+    start[:1] = True
+    np.not_equal(k[1:], k[:-1], out=start[1:])
+    starts = np.flatnonzero(start)
+    if len(starts) == 0:
+        return order
+    seg_max = np.maximum.reduceat(v, starts)[np.cumsum(start) - 1]
+    first_hit = np.where(v == seg_max, np.arange(len(v)), len(v))
+    return order[np.minimum.reduceat(first_hit, starts)]
 
 
 def _dominant_mask(
     tq: np.ndarray, bq: np.ndarray, lv: np.ndarray, val: np.ndarray, max_bq: int
 ) -> np.ndarray:
-    """Keep states not strictly dominated within their last-level group."""
-    keep = np.ones(len(val), dtype=bool)
-    for level in np.unique(lv):
-        g = np.flatnonzero(lv == level)
-        times, t_rank = np.unique(tq[g], return_inverse=True)
-        grid = np.full((len(times), max_bq + 1), -np.inf)
-        np.maximum.at(grid, (t_rank, bq[g]), val[g])
-        grid = np.maximum.accumulate(grid, axis=0)  # earlier-or-equal time
-        grid = np.maximum.accumulate(grid[:, ::-1], axis=1)[:, ::-1]  # higher-or-equal buffer
-        keep[g] = val[g] >= grid[t_rank, bq[g]]
-    return keep
+    """Keep states not strictly dominated within their last-level group.
+
+    A state is dominated when another of its level has time <=, buffer >=
+    and a strictly higher value.  States come in key order, so times are
+    sorted and (time, level, buffer) cells are distinct.  The grid holds one
+    plane per level of int32 dense value ranks (equal values share a rank),
+    with a row per distinct time and a column per distinct buffer of that
+    level, buffers from high to low; two running maxima give every cell the
+    best rank at earlier-or-equal time and higher-or-equal buffer.
+    """
+    _, rank = np.unique(val, return_inverse=True)
+    rank = rank.astype(np.int32)
+    t = np.zeros(len(tq), dtype=np.int64)
+    np.cumsum(tq[1:] != tq[:-1], out=t[1:])
+    b = max_bq - bq
+    # per level, the dense index of each distinct time and buffer
+    n_lv = lv.max() + 1
+    rows = np.zeros((n_lv, t[-1] + 1), dtype=np.int64)
+    rows[lv, t] = 1
+    np.cumsum(rows, axis=1, out=rows)
+    cols = np.zeros((n_lv, max_bq + 1), dtype=np.int64)
+    cols[lv, b] = 1
+    np.cumsum(cols, axis=1, out=cols)
+    row, col = rows[lv, t] - 1, cols[lv, b] - 1
+    grid = np.full((rows[:, -1].max(), n_lv, cols[:, -1].max()), -1, dtype=np.int32)
+    grid[row, lv, col] = rank
+    np.maximum.accumulate(grid, axis=0, out=grid)  # earlier-or-equal time
+    np.maximum.accumulate(grid, axis=2, out=grid)  # higher-or-equal buffer
+    return rank >= grid[row, lv, col]
 
 
 def qoe_to_go_truth(

@@ -19,6 +19,8 @@ from . import dt, estimator as est
 from .sim import Observation, throughput_history
 
 OBS_FIELDS = ("buffer_s", "throughput_mbps", "download_s", "next_chunk_sizes_bytes", "remaining_frac")
+# A decision window is a few KB; larger bodies are refused unread with 413.
+MAX_BODY_BYTES = 1 << 20
 
 
 class RequestError(ValueError):
@@ -161,6 +163,9 @@ def make_server(bundle: DecisionBundle, host: str = "127.0.0.1", port: int = 0) 
                 length = int(self.headers.get("Content-Length", "0"))
                 if length < 0:
                     raise ValueError(f"negative Content-Length {length}")
+                if length > MAX_BODY_BYTES:
+                    self._reply(413, {"error": f"body of {length} bytes exceeds {MAX_BODY_BYTES}"})
+                    return
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
                 self._reply(400, {"error": f"bad request body: {exc}"})

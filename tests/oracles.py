@@ -8,7 +8,8 @@ aligned-instance generator produces manifests/traces whose download times,
 buffers, and wall clocks always land exactly on the planner's quantization
 grid, so planner totals must match enumeration to float round-off.  The flat
 robust-MPC rollout replays every level sequence of the horizon in full, with
-its own buffer update, as the reference for the prefix-tree search.
+its own buffer update, as the reference for the prefix-tree search.  The
+pairwise dominance check is the reference for the planner's grid prune.
 """
 
 from __future__ import annotations
@@ -186,3 +187,18 @@ def discretization_bound(instance: AlignedInstance, params: qoe.QoeParams, dp_co
         + dp_config.time_quantum_s / 2.0 * (1.0 + instance.bw_ratio)
     )
     return instance.manifest.chunk_count * per_chunk + 1e-9
+
+
+def strictly_dominated(tq, bq, lv, val):
+    """Pairwise check: another state of the same level has time <=, buffer >= and value >.
+
+    The planner's dominance rule, by plain O(n^2) comparison of Python numbers.
+    """
+    points = list(zip(tq.tolist(), bq.tolist(), lv.tolist(), val.tolist()))
+    return np.array(
+        [
+            any(l2 == l1 and t2 <= t1 and b2 >= b1 and v2 > v1 for t2, b2, l2, v2 in points)
+            for t1, b1, l1, v1 in points
+        ],
+        dtype=bool,
+    )

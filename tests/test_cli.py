@@ -33,12 +33,22 @@ def test_cli_full_workflow(tmp_path, capsys):
     assert est_path.exists() and (out / "grid.jsonl").exists()
 
     traj_path = out / "expert.jsonl"
+    capsys.readouterr()
     assert run([
         "make-expert", "--manifest", str(manifest_path), "--estimator", str(est_path),
         "--traces", str(out / "traces" / "corpus.json"), "--split", "train",
         "--out", str(traj_path), "--prune",
     ]) == 0
     assert len(traj_path.read_text().strip().splitlines()) == 4
+    # Planner throughput and the peak frontier go to stdout, not into the trajectories.
+    last = capsys.readouterr().out.splitlines()[-1]
+    match = re.fullmatch(
+        r"planned 4 sessions in [0-9.]+ s \([0-9.]+ sessions/s\); "
+        r"peak frontier (\d+) of max_states 3000000 candidate states",
+        last,
+    )
+    assert match and 6 <= int(match.group(1)) <= 3_000_000
+    assert "frontier" not in traj_path.read_text()
 
     dt_path = out / "dt.npz"
     assert run([

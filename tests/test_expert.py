@@ -3,13 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from abrlab import estimator as est, expert, qoe, sim, traces
-from abrlab.expert import DpBudgetError, DpConfig, dp_plan, qoe_to_go_truth
+from abrlab import estimator as est, expert, harness, qoe, sim, traces
+from abrlab.expert import DpBudgetError, DpConfig, DpError, dp_plan, qoe_to_go_truth
 from abrlab.qoe import BitrateLadder, QoeParams, VideoManifest
 from abrlab.sim import SessionState
 
 from conftest import constant_trace
-from oracles import brute_force_plan, make_aligned_instance
+from oracles import brute_force_plan, make_aligned_instance, strictly_dominated
 
 
 def two_level_manifest(chunks=2):
@@ -103,6 +103,11 @@ def test_dp_budget_error(params, small_manifest):
         dp_plan(small_manifest, trace, params, dp_config=DpConfig(max_states=5))
 
 
+def test_dp_time_limit_error(params, small_manifest, fast_trace):
+    with pytest.raises(DpError, match="max_time_s"):
+        dp_plan(small_manifest, fast_trace, params, dp_config=DpConfig(max_time_s=0.1))
+
+
 def test_dp_aligned_instances_match_oracle(params):
     rng = np.random.default_rng(2024)
     for _ in range(15):
@@ -144,3 +149,125 @@ def test_trajectory_roundtrip(tmp_path, params):
     assert np.array_equal(loaded[0].observations, trajectories[0].observations)
     assert np.array_equal(loaded[0].returns, trajectories[0].returns)
     assert np.array_equal(loaded[0].actions, trajectories[0].actions)
+
+
+# Plans recorded before the frontier step was rewritten; the pruned and the
+# exact plan agreed on every case.  Each case takes one planner path: regime
+# switches, a stationary grid trace, a mid-session start, a constant trace
+# (wall time dropped from the state), a binding 12 s buffer cap (the client
+# sleeps), and a time limit that cuts candidates in the last chunks.
+PINNED_PLANS = {
+    "switch0": (
+        [3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4],
+        28.200000000000006,
+        [28.200000000000006, 26.350000000000005, 24.500000000000007, 22.650000000000006, 20.800000000000004, 18.950000000000006, 17.10000000000001, 14.250000000000007, 11.400000000000006, 8.550000000000004, 5.700000000000003, 2.8500000000000014],
+    ),
+    "switch1": (
+        [5, 4, 3, 3, 3, 3, 3, 3, 3, 4, 4, 4],
+        25.200000000000003,
+        [25.200000000000003, 20.900000000000002, 19.5, 18.650000000000002, 16.800000000000004, 14.950000000000003, 13.100000000000003, 11.250000000000004, 9.400000000000004, 7.550000000000004, 5.700000000000003, 2.8500000000000014],
+    ),
+    "grid": (
+        [2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3],
+        17.65,
+        [17.65, 16.45, 15.249999999999998, 14.049999999999999, 12.849999999999998, 11.649999999999999, 10.45, 9.249999999999998, 7.399999999999999, 5.549999999999999, 3.6999999999999993, 1.8499999999999996],
+    ),
+    "mid_session": (
+        [3, 4, 4, 4, 4, 4, 4, 4],
+        20.8,
+        [20.8, 18.95, 17.1, 14.25, 11.4, 8.55, 5.700000000000001, 2.8500000000000014],
+    ),
+    "constant": (
+        [5, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2],
+        14.399999999999997,
+        [14.399999999999997, 10.099999999999998, 11.999999999999996, 10.799999999999997, 9.599999999999996, 8.399999999999995, 7.199999999999996, 5.9999999999999964, 4.799999999999997, 3.599999999999998, 2.3999999999999986, 1.1999999999999993],
+    ),
+    "cap12": (
+        [5, 4, 3, 3, 3, 3, 3, 3, 3, 4, 4, 4],
+        25.200000000000003,
+        [25.200000000000003, 20.900000000000002, 19.5, 18.650000000000002, 16.800000000000004, 14.950000000000003, 13.100000000000003, 11.250000000000004, 9.400000000000004, 7.550000000000004, 5.700000000000003, 2.8500000000000014],
+    ),
+    "max_time": (
+        [3, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4],
+        26.200000000000003,
+        [26.200000000000003, 24.35, 22.500000000000004, 20.650000000000002, 18.800000000000004, 16.950000000000003, 15.100000000000003, 13.250000000000004, 11.400000000000004, 8.550000000000004, 5.700000000000003, 2.8500000000000014],
+    ),
+}
+
+
+def _pinned_case(name):
+    """(trace, start state, sim config, extra DpConfig fields) of one pinned case."""
+    switching = harness.make_switching_corpus(2, harness.PipelineConfig(trace_duration_s=120.0), 9, "pin")
+    grid = traces.gen_synthetic_trace(traces.SyntheticSpec(1.6, 0.5, 120.0, seed=4))
+    mid = SessionState(next_chunk=4, buffer_s=9.3, last_level=3, wall_clock_s=21.7)
+    return {
+        "switch0": (switching[0], None, sim.SimConfig(), {}),
+        "switch1": (switching[1], None, sim.SimConfig(), {}),
+        "grid": (grid, None, sim.SimConfig(), {}),
+        "mid_session": (switching[0], mid, sim.SimConfig(), {}),
+        "constant": (constant_trace(1.3), None, sim.SimConfig(), {}),
+        "cap12": (switching[1], None, sim.SimConfig(buffer_cap_s=12.0), {}),
+        "max_time": (switching[0], None, sim.SimConfig(), {"max_time_s": 44.0}),
+    }[name]
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "exact"])
+@pytest.mark.parametrize("name", list(PINNED_PLANS))
+def test_pinned_plans(params, name, prune):
+    manifest = qoe.make_manifest(12, 4.0, size_jitter=0.1, seed=3)
+    trace, state, sim_config, extra = _pinned_case(name)
+    plan = dp_plan(manifest, trace, params, state, DpConfig(dominance_prune=prune, **extra), sim_config)
+    actions, total, value_to_go = PINNED_PLANS[name]
+    assert plan.actions == actions
+    assert plan.total_qoe == total
+    assert plan.value_to_go.tolist() == value_to_go
+
+
+def test_plan_frontier_counts(params):
+    manifest = qoe.make_manifest(12, 4.0, size_jitter=0.1, seed=3)
+    trace, mid, _, _ = _pinned_case("mid_session")
+    for prune in (True, False):
+        plan = dp_plan(manifest, trace, params, dp_config=DpConfig(dominance_prune=prune))
+        candidates, distinct, kept = plan.frontier.T
+        assert plan.frontier.shape == (12, 3)
+        assert candidates[0] == 6
+        assert np.array_equal(candidates[1:], 6 * kept[:-1])  # every kept state expands 6 ways
+        assert np.all(distinct <= candidates) and np.all(kept <= distinct)
+        assert np.array_equal(kept, distinct) != prune
+    assert dp_plan(manifest, trace, params, mid).frontier.shape == (8, 3)
+    done = SessionState(next_chunk=12)
+    assert dp_plan(manifest, trace, params, done).frontier.shape == (0, 3)
+    # wall time is not part of the state on a constant trace, so nothing is pruned
+    flat = dp_plan(manifest, constant_trace(1.3), params, dp_config=DpConfig(dominance_prune=True))
+    assert np.array_equal(flat.frontier[:, 1], flat.frontier[:, 2])
+
+
+def test_dominance_prune_matches_pairwise_oracle():
+    rng = np.random.default_rng(17)
+    max_bq, n_lv = 6, 4
+    single_point_levels = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        tq, bq, lv = rng.integers(0, 5, n), rng.integers(0, max_bq + 1, n), rng.integers(0, n_lv, n)
+        # the planner hands the prune distinct (time, buffer, level) cells in key order
+        _, first = np.unique((tq * (max_bq + 1) + bq) * n_lv + lv, return_index=True)
+        tq, bq, lv = tq[first], bq[first], lv[first]
+        val = rng.integers(-2, 3, len(first)) * 0.5  # few values, so many ties
+        keep = expert._dominant_mask(tq, bq, lv, val, max_bq)
+        assert keep.tolist() == (~strictly_dominated(tq, bq, lv, val)).tolist()
+        single_point_levels += int(np.any(np.bincount(lv, minlength=n_lv) == 1))
+    assert single_point_levels > 50
+
+
+def test_merge_keeps_first_best_per_key():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        n = int(rng.integers(1, 200))
+        key, val = rng.integers(0, 30, n), rng.integers(0, 3, n) * 0.5
+        within = rng.random(n) < 0.8
+        best: dict[int, int] = {}
+        for i in np.flatnonzero(within).tolist():
+            k = int(key[i])
+            if k not in best or val[i] > val[best[k]]:
+                best[k] = i
+        assert expert._best_per_key(key, val, within).tolist() == [best[k] for k in sorted(best)]

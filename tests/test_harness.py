@@ -411,6 +411,36 @@ def test_http_server_rejects_negative_content_length(service_bundle):
     assert not thread.is_alive()
 
 
+@pytest.mark.parametrize("length", [service.MAX_BODY_BYTES + 1, 100_000_000_000])
+def test_http_server_refuses_oversized_body_unread(service_bundle, length):
+    server = service.make_server(service_bundle, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        port = server.server_address[1]
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        conn.putrequest("POST", "/decide")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", str(length))
+        conn.endheaders()  # no body follows: the answer must not wait for one
+        resp = conn.getresponse()
+        assert resp.status == 413
+        assert str(service.MAX_BODY_BYTES) in json.loads(resp.read())["error"]
+        conn.close()
+        # the server keeps answering
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{port}/decide",
+            data=json.dumps(well_formed_request()).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(req, timeout=5) as ok:
+            assert ok.status == 200
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 def test_http_server_roundtrip(service_bundle):
     server = service.make_server(service_bundle, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
