@@ -225,12 +225,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    arrays, meta = nn.load_checkpoint(args.dt)
-    model, estimator_model = dt.from_checkpoint(arrays, meta), est.load_estimator(args.estimator)
-    ladder = tuple(float(r) for r in meta.get("ladder_kbps", qoe.DEFAULT_LADDER_KBPS))
     try:
+        arrays, meta = nn.load_checkpoint(args.dt)
+        model, estimator_model = dt.from_checkpoint(arrays, meta), est.load_estimator(args.estimator)
+        ladder = tuple(float(r) for r in meta.get("ladder_kbps", qoe.DEFAULT_LADDER_KBPS))
         bundle = service.DecisionBundle(model, estimator_model, ladder, args.stats_window, args.manifest_ref)
-    except ValueError as exc:  # a stats window the model's context cannot hold
+    except ValueError as exc:  # a mismatched checkpoint, or a stats window the model's context cannot hold
         print(f"abrlab serve: {exc}", file=sys.stderr)
         return 2
     service.serve_decisions(bundle, args.host, args.port)

@@ -8,9 +8,9 @@ the 3t-1 tokens preceding the pending action.  At decision time the window
 holds the last K timesteps with the newest action slot empty (3K-1 tokens
 once the window is full); early in a session the window simply holds fewer
 timesteps rather than padded placeholders.  ``embed_tokens`` builds this
-layout once, for training segments and decision windows alike, and
-``DtPolicy.decide_batch`` decides for a lock-step batch of sessions with one
-forward pass.
+layout once, for training segments and decision windows alike.  One model
+forward, which keeps no state on the model, serves training and decisions;
+``DtPolicy.decide_batch`` decides for a lock-step batch of sessions at once.
 """
 
 from __future__ import annotations
@@ -171,27 +171,29 @@ class DtModel:
         return {p.name: p.value for p in self.params()}
 
 
-def embed_tokens(model: DtModel, t: np.ndarray, o: np.ndarray, r: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Interleaved (return, observation, action) tokens of a batch of windows.
+def embed_tokens(model: DtModel, t: np.ndarray, o: np.ndarray, r: np.ndarray, a: np.ndarray) -> tuple:
+    """Interleaved (return, observation, action) tokens of a batch of windows, and their cache.
 
     ``t`` (B, n) timesteps, ``o`` (B, n, obs_dim) raw observations and ``r``
     (B, n) returns cover n timesteps; ``a`` (B, m, action_count) holds the
     one-hot actions of the first m of them.  m = n gives the 3n tokens of
     complete segments (training); m = n - 1 leaves the newest action pending
-    and gives the 3n-1 tokens of a decision.  Result: (B, 2n + m, D).
+    and gives the 3n-1 tokens of a decision.  Result: (B, 2n + m, D) tokens and the embeddings' caches.
     """
     dtype = model.head.w.value.dtype
     B, n = t.shape
     m = a.shape[1]
     if m not in (n - 1, n):
         raise DtError(f"{m} actions for {n} timesteps; expected {n - 1} or {n}")
-    t_emb = model.embed_t.forward(t)
+    t_emb, ct = model.embed_t.forward(t)
+    r_emb, cr = model.embed_r.forward(r[..., None].astype(dtype))
+    o_emb, co = model.embed_o.forward((o / model.obs_scale).astype(dtype))
+    a_emb, ca = model.embed_a.forward(a.astype(dtype))
     tokens = np.empty((B, 2 * n + m, model.config.embed_dim), dtype=dtype)
-    tokens[:, 0::3] = model.embed_r.forward(r[..., None].astype(dtype)) + t_emb
-    tokens[:, 1::3] = model.embed_o.forward((o / model.obs_scale).astype(dtype)) + t_emb
-    if m:
-        tokens[:, 2::3] = model.embed_a.forward(a.astype(dtype)) + t_emb[:, :m]
-    return tokens
+    tokens[:, 0::3] = r_emb + t_emb
+    tokens[:, 1::3] = o_emb + t_emb
+    tokens[:, 2::3] = a_emb + t_emb[:, :m]
+    return tokens, (ct, cr, co, ca)
 
 
 def tokenize_window(window: TrajectoryWindow, model: DtModel) -> np.ndarray:
@@ -208,7 +210,7 @@ def tokenize_window(window: TrajectoryWindow, model: DtModel) -> np.ndarray:
         np.asarray(window.observations, dtype=np.float64)[None],
         np.asarray(window.returns, dtype=np.float64)[None],
         np.eye(model.config.action_count)[complete][None],
-    )[0]
+    )[0][0]
 
 
 def dt_forward(
@@ -223,16 +225,22 @@ def dt_forward(
     form 3m or 3m-1.
     """
     squeezed = tokens.ndim == 2
-    x = tokens[None] if squeezed else tokens
-    n_tok = x.shape[1]
-    if n_tok % 3 == 1:
-        raise DtError(f"token count {n_tok} is neither 3m nor 3m-1")
-    for block in model.blocks:
-        x = block.forward(x, train, rng)
-    x = model.ln_f.forward(x)
-    o_hidden = x[:, 1::3, :]
-    logits = model.head.forward(o_hidden)
+    logits = _forward(model, tokens[None] if squeezed else tokens, train, rng, {})
     return logits[0] if squeezed else logits
+
+
+def _forward(model: DtModel, x: np.ndarray, train: bool, rng, caches: dict) -> np.ndarray:
+    """Logits at the observation tokens of a (B, n_tokens, D) batch; layer caches go into ``caches``.
+
+    Its slots are the block index, "ln_f" and "head".  A dict reused across training steps drops
+    each old cache only as its replacement is stored, so memory is reused block by block."""
+    if x.shape[1] % 3 == 1:
+        raise DtError(f"token count {x.shape[1]} is neither 3m nor 3m-1")
+    for i, block in enumerate(model.blocks):
+        x, caches[i] = block.forward(x, train, rng)
+    x, caches["ln_f"] = model.ln_f.forward(x)
+    logits, caches["head"] = model.head.forward(x[:, 1::3, :])
+    return logits
 
 
 def decide(model: DtModel, window: TrajectoryWindow) -> int:
@@ -298,30 +306,28 @@ def _loss_and_grads(
     a: np.ndarray,
     train: bool,
     rng: np.random.Generator | None,
+    caches: dict | None = None,
 ) -> float:
-    """Cross-entropy over every timestep of the segment batch, with backward."""
+    """Cross-entropy over every timestep of the segment batch, with backward; ``caches`` as in ``_forward``."""
+    caches = {} if caches is None else caches
     cfg = model.config
     dtype = model.head.w.value.dtype
     B, K = t.shape
-    x = embed_tokens(model, t, o, r, a)
-    for block in model.blocks:
-        x = block.forward(x, train, rng)
-    x = model.ln_f.forward(x)
-    logits = model.head.forward(x[:, 1::3, :])
+    tokens, (ct, cr, co, ca) = embed_tokens(model, t, o, r, a)
+    logits = _forward(model, tokens, train, rng, caches)
     loss, dlogits = nn.cross_entropy(
         logits.reshape(B * K, cfg.action_count), a.reshape(B * K, cfg.action_count).astype(dtype)
     )
-    do_hidden = model.head.backward(dlogits.reshape(B, K, cfg.action_count))
-    dx = np.zeros_like(x)
-    dx[:, 1::3, :] = do_hidden
-    dx = model.ln_f.backward(dx)
-    for block in reversed(model.blocks):
-        dx = block.backward(dx)
+    dx = np.zeros_like(tokens)
+    dx[:, 1::3, :] = model.head.backward(caches["head"], dlogits.reshape(B, K, cfg.action_count))
+    dx = model.ln_f.backward(caches["ln_f"], dx)
+    for i in reversed(range(len(model.blocks))):
+        dx = model.blocks[i].backward(caches[i], dx)
     dr_tok, do_tok, da_tok = dx[:, 0::3], dx[:, 1::3], dx[:, 2::3]
-    model.embed_r.backward(dr_tok)
-    model.embed_o.backward(do_tok)
-    model.embed_a.backward(da_tok)
-    model.embed_t.backward(dr_tok + do_tok + da_tok)
+    model.embed_r.backward(cr, dr_tok)
+    model.embed_o.backward(co, do_tok)
+    model.embed_a.backward(ca, da_tok)
+    model.embed_t.backward(ct, dr_tok + do_tok + da_tok)
     return loss
 
 
@@ -343,6 +349,7 @@ def train_dt(
     rng = np.random.default_rng(hyper.seed)
     model = DtModel(config, seed=hyper.seed)
     opt = nn.AdamW(model.params(), lr=hyper.lr0, weight_decay=hyper.weight_decay)
+    caches: dict = {}  # one slot per layer, reused across steps
     losses: list[float] = []
     checks: list[tuple[int, float]] = []
     steps_run = 0
@@ -350,7 +357,7 @@ def train_dt(
         picks = rng.integers(0, len(index), size=hyper.batch_size)
         t, o, r, a = _gather_batch(trajectories, index, picks, config.context_len)
         opt.zero_grad()
-        loss = _loss_and_grads(model, t, o, r, a, train=True, rng=rng)
+        loss = _loss_and_grads(model, t, o, r, a, train=True, rng=rng, caches=caches)
         if not np.isfinite(loss):
             raise DtError(f"training diverged at step {step}: loss={loss}")
         opt.lr = nn.cosine_lr(step, hyper.steps, hyper.lr0)
@@ -399,9 +406,7 @@ def from_checkpoint(arrays: dict[str, np.ndarray], meta: dict) -> DtModel:
     if meta.get("kind") != "dt_policy":
         raise DtError(f"not a sequence-policy checkpoint: {meta.get('kind')}")
     model = DtModel(DtConfig(**meta["config"]))
-    for p in model.params():
-        p.value = arrays[p.name].copy()
-        p.grad = np.zeros_like(p.value)
+    nn.restore_params(model.params(), arrays)
     return model
 
 
@@ -461,7 +466,7 @@ class DtPolicy:
         self._o[:, n - 1] = obs
         self._r[:, n - 1] = r_hat
         onehot = np.eye(self.model.config.action_count)[self._a[:, : n - 1]]
-        tokens = embed_tokens(self.model, self._t[:, :n], self._o[:, :n], self._r[:, :n], onehot)
+        tokens, _ = embed_tokens(self.model, self._t[:, :n], self._o[:, :n], self._r[:, :n], onehot)
         levels = np.argmax(dt_forward(self.model, tokens)[:, -1], axis=-1)
         self._a[:, n - 1] = levels
         return [int(level) for level in levels]

@@ -90,11 +90,15 @@ class EstimatorModel:
         self.act = nn.ReLU()
         self.fc2 = nn.Affine(hidden, 1, rng, "est.fc2", dtype=dtype)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.fc2.forward(self.act.forward(self.fc1.forward(x)))
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        h, c1 = self.fc1.forward(x)
+        h, c2 = self.act.forward(h)
+        y, c3 = self.fc2.forward(h)
+        return y, (c1, c2, c3)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        return self.fc1.backward(self.act.backward(self.fc2.backward(dy)))
+    def backward(self, cache: tuple, dy: np.ndarray) -> np.ndarray:
+        c1, c2, c3 = cache
+        return self.fc1.backward(c1, self.act.backward(c2, self.fc2.backward(c3, dy)))
 
     def params(self) -> list[nn.Param]:
         return self.fc1.params() + self.fc2.params()
@@ -107,7 +111,7 @@ def estimate(model: EstimatorModel, feats: np.ndarray) -> float:
 
 def estimate_batch(model: EstimatorModel, feats: np.ndarray) -> np.ndarray:
     """QoE-to-go estimates for a (B, 4) feature matrix, each clamped below at zero."""
-    out = model.forward(np.asarray(feats, dtype=model.fc1.w.value.dtype))[:, 0].astype(np.float64)
+    out = model.forward(np.asarray(feats, dtype=model.fc1.w.value.dtype))[0][:, 0].astype(np.float64)
     if not np.all(np.isfinite(out)):
         raise EstimatorError("estimator produced a non-finite value")
     return np.where(out < 0.0, 0.0, out)
@@ -229,18 +233,18 @@ def train_estimator(
             if len(sel) == 0:
                 continue
             opt.zero_grad()
-            pred = model.forward(x_train[sel])
+            pred, cache = model.forward(x_train[sel])
             loss, dpred = nn.mse(pred, y_train[sel])
             if not np.isfinite(loss):
                 raise EstimatorError("training diverged (non-finite loss)")
-            model.backward(dpred)
+            model.backward(cache, dpred)
             opt.lr = nn.cosine_lr(step, total_steps, config.lr0)
             opt.step()
             step += 1
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
     if len(val_idx):
-        pred = model.forward(dataset.features[val_idx].astype(dtype))
+        pred, _ = model.forward(dataset.features[val_idx].astype(dtype))
         heldout = float(np.mean(np.square(pred.reshape(-1) - dataset.labels[val_idx]), dtype=np.float64))
     else:
         heldout = float("nan")
@@ -288,7 +292,5 @@ def load_estimator(path: str | Path) -> EstimatorModel:
     if meta.get("kind") != "qoe_to_go_estimator":
         raise EstimatorError(f"not an estimator checkpoint: {meta.get('kind')}")
     model = EstimatorModel(hidden=int(meta["hidden"]))
-    for p in model.params():
-        p.value = arrays[p.name].copy()
-        p.grad = np.zeros_like(p.value)
+    nn.restore_params(model.params(), arrays)
     return model

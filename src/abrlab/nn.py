@@ -6,6 +6,10 @@ self-attention, inverted dropout, softmax cross-entropy, mean squared error,
 AdamW with decoupled weight decay, cosine learning-rate decay, and a central
 finite-difference gradient checker.
 
+Layers hold parameters only: ``forward(...)`` returns ``(y, cache)`` and writes
+nothing to the layer, and ``backward(cache, dy)`` accumulates into each
+``Param.grad`` and returns ``dx``, so one model can serve concurrent forwards.
+
 Parameters are stored in float32 by default; reductions (means, losses)
 accumulate in float64 before casting back.  Layers are dtype-polymorphic,
 so gradient checks can run the same code in float64.
@@ -46,12 +50,6 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], gain: float =
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def _check_finite(name: str, *arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise NnError(f"non-finite values in {name}")
-
-
 class Affine:
     """y = x W + b over the trailing axis; leading axes are batch."""
 
@@ -59,35 +57,33 @@ class Affine:
                  gain: float = 1.0, dtype=np.float32) -> None:
         self.w = Param(f"{name}.w", uniform_init(rng, (in_dim, out_dim), gain, dtype))
         self.b = Param(f"{name}.b", np.zeros(out_dim, dtype=dtype))
-        self._x2d: np.ndarray | None = None
-        self._shape: tuple[int, ...] = ()
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if x.shape[-1] != self.w.value.shape[0]:
             raise NnError(
                 f"affine input dim {x.shape[-1]} != weight dim {self.w.value.shape[0]}"
             )
-        self._shape = x.shape
-        self._x2d = x.reshape(-1, x.shape[-1])
-        return (self._x2d @ self.w.value + self.b.value).reshape(*x.shape[:-1], -1)
+        x2d = x.reshape(-1, x.shape[-1])
+        # The output width is explicit, so zero rows (a decision with no past action) keep their shape.
+        return (x2d @ self.w.value + self.b.value).reshape(*x.shape[:-1], self.b.value.shape[0]), x2d
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, x2d: np.ndarray, dy: np.ndarray) -> np.ndarray:
         dy2d = dy.reshape(-1, dy.shape[-1])
-        self.w.grad += self._x2d.T @ dy2d
+        self.w.grad += x2d.T @ dy2d
         self.b.grad += dy2d.sum(axis=0, dtype=np.float64).astype(self.b.value.dtype)
-        return (dy2d @ self.w.value.T).reshape(self._shape)
+        return (dy2d @ self.w.value.T).reshape(*dy.shape[:-1], -1)
 
     def params(self) -> list[Param]:
         return [self.w, self.b]
 
 
 class ReLU:
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mask = x > 0
+        return x * mask, mask
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * self._mask
+    def backward(self, mask: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        return dy * mask
 
     def params(self) -> list[Param]:
         return []
@@ -101,21 +97,21 @@ class LayerNorm:
         self.b = Param(f"{name}.b", np.zeros(dim, dtype=dtype))
         self.eps = eps
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         mu = x.mean(axis=-1, keepdims=True, dtype=np.float64)
         var = np.square(x - mu).mean(axis=-1, keepdims=True, dtype=np.float64)
-        self._inv_std = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)
-        self._xhat = ((x - mu) * self._inv_std).astype(x.dtype)
-        return self._xhat * self.g.value + self.b.value
+        inv_std = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)
+        xhat = ((x - mu) * inv_std).astype(x.dtype)
+        return xhat * self.g.value + self.b.value, (xhat, inv_std)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat = self._xhat
+    def backward(self, cache: tuple, dy: np.ndarray) -> np.ndarray:
+        xhat, inv_std = cache
         dxhat = dy * self.g.value
         self.g.grad += (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0, dtype=np.float64).astype(self.g.value.dtype)
         self.b.grad += dy.reshape(-1, dy.shape[-1]).sum(axis=0, dtype=np.float64).astype(self.b.value.dtype)
         m1 = dxhat.mean(axis=-1, keepdims=True, dtype=np.float64)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float64)
-        return (self._inv_std * (dxhat - m1 - xhat * m2)).astype(dy.dtype)
+        return (inv_std * (dxhat - m1 - xhat * m2)).astype(dy.dtype)
 
     def params(self) -> list[Param]:
         return [self.g, self.b]
@@ -128,15 +124,14 @@ class Embedding:
                  gain: float = 1.0, dtype=np.float32) -> None:
         self.table = Param(f"{name}.table", uniform_init(rng, (count, dim), gain, dtype))
 
-    def forward(self, idx: np.ndarray) -> np.ndarray:
+    def forward(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = np.asarray(idx)
         if np.any(idx < 0) or np.any(idx >= self.table.value.shape[0]):
             raise NnError("embedding index out of range")
-        self._idx = idx
-        return self.table.value[idx]
+        return self.table.value[idx], idx
 
-    def backward(self, dy: np.ndarray) -> None:
-        np.add.at(self.table.grad, self._idx.reshape(-1), dy.reshape(-1, dy.shape[-1]))
+    def backward(self, idx: np.ndarray, dy: np.ndarray) -> None:
+        np.add.at(self.table.grad, idx.reshape(-1), dy.reshape(-1, dy.shape[-1]))
 
     def params(self) -> list[Param]:
         return [self.table]
@@ -150,18 +145,16 @@ class Dropout:
             raise NnError("dropout rate must be in [0, 1)")
         self.rate = rate
 
-    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None) -> tuple:
         if not train or self.rate == 0.0:
-            self._mask = None
-            return x
+            return x, None
         if rng is None:
             raise NnError("training-mode dropout needs an rng")
-        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        self._mask = self._mask.astype(x.dtype)
-        return x * self._mask
+        mask = ((rng.random(x.shape) >= self.rate) / (1.0 - self.rate)).astype(x.dtype)
+        return x * mask, mask
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy if self._mask is None else dy * self._mask
+    def backward(self, mask: np.ndarray | None, dy: np.ndarray) -> np.ndarray:
+        return dy if mask is None else dy * mask
 
     def params(self) -> list[Param]:
         return []
@@ -171,7 +164,8 @@ class CausalSelfAttention:
     """Scaled dot-product attention where position i attends to positions <= i.
 
     Masked scores are set to -inf before the softmax, so future positions get
-    exactly zero weight and cannot influence earlier outputs.
+    exactly zero weight and cannot influence earlier outputs.  Inputs are
+    (batch, tokens, dim).
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, dropout: float = 0.0,
@@ -195,14 +189,10 @@ class CausalSelfAttention:
         b, h, t, hd = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
-    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
-        self._squeezed = x.ndim == 2
-        if self._squeezed:
-            x = x[None]
+    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> tuple:
         b, t, _ = x.shape
-        q = self._split(self.wq.forward(x))
-        k = self._split(self.wk.forward(x))
-        v = self._split(self.wv.forward(x))
+        (q, cq), (k, ck), (v, cv) = self.wq.forward(x), self.wk.forward(x), self.wv.forward(x)
+        q, k, v = self._split(q), self._split(k), self._split(v)
         scale = 1.0 / math.sqrt(self.head_dim)
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale
         mask = np.triu(np.ones((t, t), dtype=bool), k=1)
@@ -211,29 +201,25 @@ class CausalSelfAttention:
         e = np.exp(scores)
         att = e / e.sum(axis=-1, keepdims=True)
         att = att.astype(x.dtype)
-        att_kept = self.attn_drop.forward(att, train, rng)
-        y = self._merge(att_kept @ v)
-        out = self.wo.forward(y)
-        self._cache = (q, k, v, att, att_kept, scale)
-        return out[0] if self._squeezed else out
+        att_kept, drop_mask = self.attn_drop.forward(att, train, rng)
+        out, co = self.wo.forward(self._merge(att_kept @ v))
+        return out, (q, k, v, att, att_kept, drop_mask, cq, ck, cv, co)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._squeezed:
-            dy = dy[None]
-        q, k, v, att, att_kept, scale = self._cache
-        dmerged = self._split(self.wo.backward(dy))
+    def backward(self, cache: tuple, dy: np.ndarray) -> np.ndarray:
+        q, k, v, att, att_kept, drop_mask, cq, ck, cv, co = cache
+        scale = 1.0 / math.sqrt(self.head_dim)
+        dmerged = self._split(self.wo.backward(co, dy))
         datt_kept = dmerged @ v.transpose(0, 1, 3, 2)
         dv = att_kept.transpose(0, 1, 3, 2) @ dmerged
-        datt = self.attn_drop.backward(datt_kept)
+        datt = self.attn_drop.backward(drop_mask, datt_kept)
         # softmax backward per row; masked entries have att == 0, so they
         # contribute nothing and receive zero gradient.
         dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
         dq = (dscores @ k) * scale
         dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
-        dx = self.wq.backward(self._merge(dq))
-        dx = dx + self.wk.backward(self._merge(dk))
-        dx = dx + self.wv.backward(self._merge(dv))
-        return dx[0] if self._squeezed else dx
+        dx = self.wq.backward(cq, self._merge(dq))
+        dx = dx + self.wk.backward(ck, self._merge(dk))
+        return dx + self.wv.backward(cv, self._merge(dv))
 
     def params(self) -> list[Param]:
         return self.wq.params() + self.wk.params() + self.wv.params() + self.wo.params()
@@ -253,18 +239,25 @@ class TransformerBlock:
         self.fc2 = Affine(mlp_ratio * dim, dim, rng, f"{name}.fc2", dtype=dtype)
         self.drop2 = Dropout(dropout)
 
-    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
-        a = self.drop1.forward(self.attn.forward(self.ln1.forward(x), train, rng), train, rng)
+    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> tuple:
+        h, c_ln1 = self.ln1.forward(x)
+        h, c_attn = self.attn.forward(h, train, rng)
+        a, c_drop1 = self.drop1.forward(h, train, rng)
         x = x + a
-        m = self.fc2.forward(self.act.forward(self.fc1.forward(self.ln2.forward(x))))
-        x = x + self.drop2.forward(m, train, rng)
-        return x
+        h, c_ln2 = self.ln2.forward(x)
+        h, c_fc1 = self.fc1.forward(h)
+        h, c_act = self.act.forward(h)
+        h, c_fc2 = self.fc2.forward(h)
+        m, c_drop2 = self.drop2.forward(h, train, rng)
+        return x + m, (c_ln1, c_attn, c_drop1, c_ln2, c_fc1, c_act, c_fc2, c_drop2)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        dm = self.drop2.backward(dy)
-        dx = dy + self.ln2.backward(self.fc1.backward(self.act.backward(self.fc2.backward(dm))))
-        da = self.drop1.backward(dx)
-        return dx + self.ln1.backward(self.attn.backward(da))
+    def backward(self, cache: tuple, dy: np.ndarray) -> np.ndarray:
+        c_ln1, c_attn, c_drop1, c_ln2, c_fc1, c_act, c_fc2, c_drop2 = cache
+        dm = self.drop2.backward(c_drop2, dy)
+        dh = self.fc1.backward(c_fc1, self.act.backward(c_act, self.fc2.backward(c_fc2, dm)))
+        dx = dy + self.ln2.backward(c_ln2, dh)
+        da = self.drop1.backward(c_drop1, dx)
+        return dx + self.ln1.backward(c_ln1, self.attn.backward(c_attn, da))
 
     def params(self) -> list[Param]:
         return (
@@ -377,6 +370,19 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
     meta = dict(meta)
     meta["format_version"] = CHECKPOINT_VERSION
     np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+
+
+def restore_params(params: Sequence[Param], arrays: dict[str, np.ndarray]) -> None:
+    """Copy each param's value from ``arrays[name]``, refusing any mismatch with NnError."""
+    names = [p.name for p in params]
+    missing, unexpected = sorted(set(names) - arrays.keys()), sorted(arrays.keys() - set(names))
+    if missing or unexpected:
+        raise NnError(f"checkpoint arrays do not match the model: missing {missing}, unexpected {unexpected}")
+    for p in params:
+        if arrays[p.name].shape != p.value.shape:
+            raise NnError(f"checkpoint array {p.name}: shape {arrays[p.name].shape}, the model expects {p.value.shape}")
+        p.value = arrays[p.name].copy()
+        p.grad = np.zeros_like(p.value)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

@@ -4,7 +4,9 @@ Clients ship their current decision window (past observations, returns, and
 executed actions); the server computes the fresh QoE-to-go estimate, runs
 the sequence model, and answers with the chosen ladder level and that
 estimate.  Because the client carries all state, any number of servers can
-answer any request, and identical requests get identical responses.
+answer any request, and identical requests get identical responses.  The
+models keep no per-request state, so concurrent requests get the answers
+they would get one at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .sim import Observation, throughput_history
 OBS_FIELDS = ("buffer_s", "throughput_mbps", "download_s", "next_chunk_sizes_bytes", "remaining_frac")
 # A decision window is a few KB; larger bodies are refused unread with 413.
 MAX_BODY_BYTES = 1 << 20
+# Socket timeout of a request's connection; a body still short after it gets 408.
+READ_TIMEOUT_S = 10.0
 
 
 class RequestError(ValueError):
@@ -155,6 +159,8 @@ def make_server(bundle: DecisionBundle, host: str = "127.0.0.1", port: int = 0) 
     """HTTP server exposing POST /decide; port 0 picks an ephemeral port."""
 
     class Handler(BaseHTTPRequestHandler):
+        timeout = READ_TIMEOUT_S
+
         def do_POST(self) -> None:  # noqa: N802 (http.server API)
             if self.path != "/decide":
                 self._reply(404, {"error": "unknown path; POST /decide"})
@@ -167,7 +173,10 @@ def make_server(bundle: DecisionBundle, host: str = "127.0.0.1", port: int = 0) 
                     self._reply(413, {"error": f"body of {length} bytes exceeds {MAX_BODY_BYTES}"})
                     return
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
+            except TimeoutError:
+                self._reply(408, {"error": f"body of {length} bytes not received within {self.timeout} s"})
+                return
+            except (ValueError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
                 self._reply(400, {"error": f"bad request body: {exc}"})
                 return
             status, body = handle_decide(bundle, payload)

@@ -174,21 +174,21 @@ def test_criterion_03_gradient_correctness():
         rng = np.random.default_rng(seed)
 
         def functional_check(layer, x, with_loss=None):
-            proj = rng.normal(size=layer.forward(x).shape)
+            proj = rng.normal(size=layer.forward(x)[0].shape)
 
             def fn():
                 for p in layer.params():
                     p.grad[...] = 0.0
-                out = layer.forward(x)
+                out, cache = layer.forward(x)
                 if with_loss == "ce":
                     loss, dout = nn.cross_entropy(out, targets)
-                    layer.backward(dout)
+                    layer.backward(cache, dout)
                     return loss
                 if with_loss == "mse":
                     loss, dout = nn.mse(out, target_vals)
-                    layer.backward(dout)
+                    layer.backward(cache, dout)
                     return loss
-                layer.backward(proj)
+                layer.backward(cache, proj)
                 return float((out * proj).sum())
 
             return nn.grad_check(fn, layer.params())

@@ -184,6 +184,23 @@ def test_checkpoint_roundtrip(tmp_path):
     assert meta["ladder_kbps"] == list(qoe.DEFAULT_LADDER_KBPS)
 
 
+def test_checkpoint_refuses_mismatched_arrays(tmp_path):
+    path = tmp_path / "dt.npz"
+    dt.save_dt(DtModel(TINY, seed=6), path)
+    arrays, meta = nn.load_checkpoint(path)
+    wrong_shape = dict(arrays)
+    wrong_shape["dt.head.w"] = arrays["dt.head.w"][:, :3]
+    missing = {k: v for k, v in arrays.items() if k != "dt.ln_f.g"}
+    cases = [(wrong_shape, "dt.head.w"), (missing, r"missing \['dt.ln_f.g'\]"),
+             (dict(arrays, extra=np.zeros(2)), r"unexpected \['extra'\]")]
+    for bad, match in cases:
+        with pytest.raises(nn.NnError, match=match):
+            dt.from_checkpoint(bad, meta)
+        nn.save_checkpoint(path, bad, meta)
+        with pytest.raises(nn.NnError, match=match):
+            dt.load_dt(path)
+
+
 def test_dt_policy_runs_session():
     manifest = qoe.make_manifest(chunk_count=6)
     model = DtModel(TINY, seed=7)
@@ -204,7 +221,7 @@ def test_batched_decisions_match_single_windows():
         for b, window in enumerate(windows):
             window.timesteps = [t + 3 * b for t in window.timesteps]
         complete = np.eye(TINY.action_count)[np.array([w.actions[:-1] for w in windows], dtype=np.int64)]
-        tokens = dt.embed_tokens(
+        tokens, _ = dt.embed_tokens(
             model,
             np.array([w.timesteps for w in windows]),
             np.array([w.observations for w in windows]),

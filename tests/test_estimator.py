@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from abrlab import estimator as est, expert, qoe, traces
+from abrlab import estimator as est, expert, nn, qoe, traces
 from abrlab.estimator import (
     EstimatorConfig,
     EstimatorError,
@@ -139,6 +139,21 @@ def test_estimator_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(p1.value, p2.value)
     feats = features(est.NetStats(2.0, 0.3), 20.0, 0.4)
     assert estimate(model, feats) == estimate(loaded, feats)
+
+
+def test_estimator_checkpoint_refuses_mismatched_arrays(tmp_path):
+    model = est.EstimatorModel(hidden=8, seed=2)
+    arrays = {p.name: p.value for p in model.params()}
+    meta = {"kind": "qoe_to_go_estimator", "hidden": 8}
+    wrong_shape = dict(arrays)
+    wrong_shape["est.fc2.w"] = np.zeros((4, 1), dtype=np.float32)
+    missing = {k: v for k, v in arrays.items() if k != "est.fc1.b"}
+    cases = [(wrong_shape, "est.fc2.w"), (missing, r"missing \['est.fc1.b'\]"),
+             (dict(arrays, extra=np.zeros(1)), r"unexpected \['extra'\]")]
+    for bad, match in cases:
+        nn.save_checkpoint(tmp_path / "est.npz", bad, meta)
+        with pytest.raises(nn.NnError, match=match):
+            est.load_estimator(tmp_path / "est.npz")
 
 
 def test_dataset_roundtrip(tmp_path, tiny_dataset):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import copy
 import http.client
 import json
+import sys
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -382,9 +385,71 @@ def test_bundle_refuses_stats_window_beyond_context(service_bundle, tmp_path, ca
     assert "stats_window" in capsys.readouterr().err
 
 
-def test_handle_decide_model_failure_is_5xx(service_bundle):
-    import copy
+def test_serve_refuses_mismatched_checkpoint(service_bundle, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(service, "serve_decisions", lambda *args: pytest.fail("serve started"))
+    model = copy.deepcopy(service_bundle.model)
+    model.head.w.value = model.head.w.value[:, :3]
+    dt.save_dt(model, tmp_path / "dt.npz", service_bundle.ladder_kbps)
+    est.save_estimator(service_bundle.estimator_model, tmp_path / "est.npz")
+    argv = ["serve", "--dt", str(tmp_path / "dt.npz"), "--estimator", str(tmp_path / "est.npz"), "--port", "0"]
+    assert cli.main(argv) == 2
+    assert "dt.head.w" in capsys.readouterr().err
 
+
+def random_request(rng, max_timestep=48, K=4):
+    n = int(rng.integers(1, K + 1))
+    t0 = int(rng.integers(0, max_timestep - n + 1))
+    observations = [
+        {
+            "buffer_s": float(rng.uniform(0.0, 30.0)),
+            "throughput_mbps": float(rng.uniform(0.2, 6.0)),
+            "download_s": float(rng.uniform(0.0, 8.0)),
+            "next_chunk_sizes_bytes": [float(x) for x in rng.uniform(1e5, 3e6, 6)],
+            "remaining_frac": float(rng.uniform(0.0, 1.0)),
+        }
+        for _ in range(n)
+    ]
+    return {
+        "window": {
+            "timesteps": list(range(t0, t0 + n)),
+            "observations": observations,
+            "returns": [float(x) for x in rng.uniform(0.0, 2.0, n - 1)],
+            "actions": [int(x) for x in rng.integers(0, 6, n - 1)],
+        }
+    }
+
+
+def test_handle_decide_threads_match_sequential():
+    model = dt.DtModel(dt.DtConfig(), seed=0)
+    model.head.w.value *= 100.0  # spread the levels, so a corrupted forward changes answers
+    bundle = service.DecisionBundle(model, est.EstimatorModel(seed=0), tuple(qoe.DEFAULT_LADDER_KBPS))
+    rng = np.random.default_rng(12)
+    requests = [random_request(rng) for _ in range(2000)]
+    expected = [service.handle_decide(bundle, r) for r in requests]
+    assert all(status == 200 for status, _ in expected)
+    assert len({body["level"] for _, body in expected}) > 1
+    answers = [None] * len(requests)
+
+    def worker(first: int) -> None:
+        for i in range(first, len(requests), 4):
+            answers[i] = service.handle_decide(bundle, requests[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible, mid-forward included
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    mismatches = [i for i, (got, want) in enumerate(zip(answers, expected)) if got != want]
+    assert mismatches == []
+
+
+def test_handle_decide_model_failure_is_5xx(service_bundle):
     broken = copy.deepcopy(service_bundle)
     broken.estimator_model.fc2.w.value[...] = np.nan
     status, body = service.handle_decide(broken, well_formed_request())
@@ -437,6 +502,50 @@ def test_http_server_refuses_oversized_body_unread(service_bundle, length):
             assert ok.status == 200
     finally:
         server.shutdown()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_http_server_times_out_short_body(service_bundle, monkeypatch):
+    monkeypatch.setattr(service, "READ_TIMEOUT_S", 0.3)
+    server = service.make_server(service_bundle, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=5)
+        conn.putrequest("POST", "/decide")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", "100")
+        start = time.perf_counter()
+        conn.endheaders(b'{"window":')  # 10 of the 100 declared bytes
+        resp = conn.getresponse()
+        assert resp.status == 408
+        assert time.perf_counter() - start < 3.0
+        assert "100 bytes" in json.loads(resp.read())["error"]
+        conn.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_http_server_answers_deep_nesting_with_400(service_bundle):
+    server = service.make_server(service_bundle, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        port = server.server_address[1]
+        for body in (b"[" * 100_000, b'{"a":' * 100_000):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+            conn.request("POST", "/decide", body=body, headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "bad request body" in json.loads(resp.read())["error"]
+            conn.close()
+    finally:
+        server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
 

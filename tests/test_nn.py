@@ -26,9 +26,9 @@ def test_affine_identity_and_bias():
     layer.w.value = np.eye(3)
     layer.b.value = np.zeros(3)
     x = rng.normal(size=(4, 3))
-    assert np.allclose(layer.forward(x), x)
+    assert np.allclose(layer.forward(x)[0], x)
     layer.b.value = np.array([1.0, 2.0, 3.0])
-    out = layer.forward(np.zeros((2, 3)))
+    out, _ = layer.forward(np.zeros((2, 3)))
     assert np.allclose(out, np.tile(layer.b.value, (2, 1)))
     with pytest.raises(NnError):
         layer.forward(np.zeros((2, 4)))
@@ -45,8 +45,9 @@ def test_affine_ce_gradients(seed):
     def fn():
         for p in layer.params():
             p.grad[...] = 0.0
-        loss, dlogits = cross_entropy(layer.forward(x), targets)
-        layer.backward(dlogits)
+        out, cache = layer.forward(x)
+        loss, dlogits = cross_entropy(out, targets)
+        layer.backward(cache, dlogits)
         return loss
 
     assert grad_check(fn, layer.params()) < 1e-4
@@ -64,8 +65,8 @@ def test_layernorm_gradients(seed):
     def fn():
         for p in ln.params():
             p.grad[...] = 0.0
-        out = ln.forward(x)
-        ln.backward(proj)
+        out, cache = ln.forward(x)
+        ln.backward(cache, proj)
         return float((out * proj).sum())
 
     assert grad_check(fn, ln.params()) < 1e-4
@@ -75,8 +76,7 @@ def test_layernorm_normalizes():
     rng = np.random.default_rng(3)
     ln = LayerNorm(16, dtype=np.float64)
     x = rng.normal(2.0, 7.0, size=(10, 16))
-    ln.forward(x)
-    xhat = ln._xhat
+    _, (xhat, _) = ln.forward(x)
     assert np.all(np.abs(xhat.mean(axis=-1)) < 1e-5)
     assert np.all(np.abs(xhat.var(axis=-1) - 1.0) < 1e-4)
 
@@ -92,8 +92,8 @@ def test_attention_block_gradients(seed, heads):
     def fn():
         for p in attn.params():
             p.grad[...] = 0.0
-        out = attn.forward(x)
-        attn.backward(proj)
+        out, cache = attn.forward(x)
+        attn.backward(cache, proj)
         return float((out * proj).sum())
 
     assert grad_check(fn, attn.params()) < 1e-3
@@ -103,8 +103,8 @@ def test_attention_single_token_is_value_projection():
     rng = np.random.default_rng(1)
     attn = CausalSelfAttention(6, 1, rng, dtype=np.float64)
     x = rng.normal(size=(1, 6))
-    out = attn.forward(x)
-    manual = attn.wo.forward(attn.wv.forward(x[None]))[0]
+    out = attn.forward(x[None])[0][0]
+    manual = attn.wo.forward(attn.wv.forward(x[None])[0])[0][0]
     assert np.allclose(out, manual, atol=1e-12)
 
 
@@ -112,8 +112,8 @@ def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(2)
     attn = CausalSelfAttention(8, 2, rng, dtype=np.float64)
     x = rng.normal(size=(2, 5, 8))
-    attn.forward(x)
-    att = attn._cache[3]
+    _, cache = attn.forward(x)
+    att = cache[3]
     assert np.allclose(att.sum(axis=-1), 1.0, atol=1e-6)
 
 
@@ -121,11 +121,11 @@ def test_attention_causality_exact():
     rng = np.random.default_rng(4)
     attn = CausalSelfAttention(8, 1, rng, dtype=np.float64)
     x = rng.normal(size=(5, 8))
-    base = attn.forward(x)
+    base = attn.forward(x[None])[0][0]
     for j in range(1, 5):
         perturbed = x.copy()
         perturbed[j] += rng.normal(size=8)
-        out = attn.forward(perturbed)
+        out = attn.forward(perturbed[None])[0][0]
         assert np.array_equal(out[:j], base[:j])
 
 
@@ -133,10 +133,10 @@ def test_embedding_forward_backward():
     rng = np.random.default_rng(5)
     emb = Embedding(7, 3, rng, dtype=np.float64)
     idx = np.array([1, 1, 4])
-    out = emb.forward(idx)
+    out, cache = emb.forward(idx)
     assert out.shape == (3, 3)
     dy = np.ones((3, 3))
-    emb.backward(dy)
+    emb.backward(cache, dy)
     assert np.allclose(emb.table.grad[1], 2.0)
     assert np.allclose(emb.table.grad[4], 1.0)
     assert np.allclose(emb.table.grad[0], 0.0)
@@ -153,8 +153,8 @@ def test_embedding_gradients(seed):
 
     def fn():
         emb.table.grad[...] = 0.0
-        out = emb.forward(idx)
-        emb.backward(proj)
+        out, cache = emb.forward(idx)
+        emb.backward(cache, proj)
         return float((out * proj).sum())
 
     assert grad_check(fn, emb.params()) < 1e-4
@@ -163,10 +163,10 @@ def test_embedding_gradients(seed):
 def test_dropout_semantics():
     rng = np.random.default_rng(6)
     x = np.ones((100, 100))
-    assert np.array_equal(Dropout(0.0).forward(x, True, rng), x)
+    assert np.array_equal(Dropout(0.0).forward(x, True, rng)[0], x)
     drop = Dropout(0.3)
-    assert np.array_equal(drop.forward(x, False, rng), x)  # inference: identity
-    kept = drop.forward(x, True, rng)
+    assert np.array_equal(drop.forward(x, False, rng)[0], x)  # inference: identity
+    kept, _ = drop.forward(x, True, rng)
     assert abs(kept.mean() - 1.0) < 0.02  # inverted scaling preserves expectation
     zero_frac = float((kept == 0).mean())
     assert abs(zero_frac - 0.3) < 0.02
@@ -180,8 +180,8 @@ def test_dropout_gradients_with_frozen_mask():
 
     def fn():
         param.grad[...] = 0.0
-        out = drop.forward(param.value, True, np.random.default_rng(99))
-        param.grad += drop.backward(proj)
+        out, mask = drop.forward(param.value, True, np.random.default_rng(99))
+        param.grad += drop.backward(mask, proj)
         return float((out * proj).sum())
 
     assert grad_check(fn, [param]) < 1e-4
@@ -197,11 +197,37 @@ def test_transformer_block_gradients(seed):
     def fn():
         for p in block.params():
             p.grad[...] = 0.0
-        out = block.forward(x)
-        block.backward(proj)
+        out, cache = block.forward(x)
+        block.backward(cache, proj)
         return float((out * proj).sum())
 
     assert grad_check(fn, block.params()) < 1e-3
+
+
+def _state(obj) -> dict:
+    """Identity of every attribute, recursing into sub-layers and params."""
+    return {k: _state(v) if hasattr(v, "__dict__") else id(v) for k, v in vars(obj).items()}
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_forward_and_backward_leave_layers_unchanged(train):
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2, 3, 4))
+    cases = [
+        (Affine(4, 4, rng, dtype=np.float64), (x,)),
+        (nn.ReLU(), (x,)),
+        (LayerNorm(4, dtype=np.float64), (x,)),
+        (Embedding(5, 4, rng, dtype=np.float64), (np.array([[0, 3, 1]]),)),
+        (Dropout(0.5), (x, train, rng)),
+        (CausalSelfAttention(4, 2, rng, dropout=0.5, dtype=np.float64), (x, train, rng)),
+        (TransformerBlock(4, 2, rng, dropout=0.5, mlp_ratio=2, dtype=np.float64), (x, train, rng)),
+    ]
+    for layer, args in cases:
+        before = _state(layer)
+        y, cache = layer.forward(*args)
+        assert _state(layer) == before, f"{type(layer).__name__}.forward"
+        layer.backward(cache, np.ones_like(y))
+        assert _state(layer) == before, f"{type(layer).__name__}.backward"
 
 
 def test_cross_entropy_uniform_and_validation():
@@ -229,8 +255,9 @@ def test_mse_zero_and_gradients():
     def fn():
         for p in layer.params():
             p.grad[...] = 0.0
-        loss, dpred = mse(layer.forward(x), target)
-        layer.backward(dpred)
+        out, cache = layer.forward(x)
+        loss, dpred = mse(out, target)
+        layer.backward(cache, dpred)
         return loss
 
     assert grad_check(fn, layer.params()) < 1e-4
