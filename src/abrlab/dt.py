@@ -4,18 +4,20 @@ Each timestep contributes three tokens in the order (QoE-to-go estimate,
 observation, action); every token carries a learned embedding of its
 absolute timestep.  Action logits for timestep t are read from the hidden
 state at the observation token, which under the causal mask has seen exactly
-the 3t-1 tokens preceding the pending action.  At decision time the window
-holds the last K timesteps with the newest action slot empty (3K-1 tokens
-once the window is full); early in a session the window simply holds fewer
-timesteps rather than padded placeholders.  ``embed_tokens`` builds this
-layout once, for training segments and decision windows alike.  One model
-forward, which keeps no state on the model, serves training and decisions;
-``DtPolicy.decide_batch`` decides for a lock-step batch of sessions at once.
+the 3t-1 tokens preceding the pending action.  At decision time a
+``TrajectoryWindow`` holds the last K timesteps of B sessions as (B, n)
+arrays with the newest action pending (3K-1 tokens once the window is
+full); early in a session the window simply holds fewer timesteps rather
+than padded placeholders.  The same window serves the lock-step policy, the
+HTTP service (B = 1) and teacher-forced accuracy.  ``embed_tokens`` builds
+this layout once, for training segments and decision windows alike.  One
+model forward, which keeps no state on the model, serves training and
+decisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -66,77 +68,80 @@ class DtConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryWindow:
-    """Sliding decision context: up to K timesteps, newest action pending."""
+    """Decision context of B sessions: each row's last n <= K timesteps, newest action pending.
+
+    ``timesteps`` (B, n) int64, consecutive in each row; ``observations``
+    (B, n, obs_dim) raw vectors; ``returns`` (B, n) QoE-to-go estimates;
+    ``actions`` (B, n-1) levels executed at the first n-1 timesteps.  Dtypes
+    are coerced and shapes and timesteps checked once, when a window is built.
+    """
 
     context_len: int
-    timesteps: list[int] = field(default_factory=list)
-    observations: list[np.ndarray] = field(default_factory=list)
-    returns: list[float] = field(default_factory=list)
-    actions: list[int | None] = field(default_factory=list)
+    timesteps: np.ndarray
+    observations: np.ndarray
+    returns: np.ndarray
+    actions: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.timesteps)
-
-    @property
-    def pending(self) -> bool:
-        return bool(self.actions) and self.actions[-1] is None
-
-    def validate(self) -> None:
-        n = len(self.timesteps)
-        if not 1 <= n <= self.context_len:
-            raise DtError(f"window holds {n} timesteps; expected 1..{self.context_len}")
-        if not (len(self.observations) == len(self.returns) == len(self.actions) == n):
-            raise DtError("window modality lengths differ")
-        for a, b in zip(self.timesteps, self.timesteps[1:]):
-            if b != a + 1:
-                raise DtError(f"timestep gap: {a} -> {b}")
-        for a in self.actions[:-1]:
-            if a is None:
-                raise DtError("only the newest action slot may be pending")
+    def __post_init__(self) -> None:
+        t = np.asarray(self.timesteps, dtype=np.int64)
+        o = np.asarray(self.observations, dtype=np.float64)
+        r = np.asarray(self.returns, dtype=np.float64)
+        a = np.asarray(self.actions, dtype=np.int64)
+        if t.ndim != 2 or not 1 <= t.shape[1] <= self.context_len:
+            raise DtError(f"window timesteps of shape {t.shape}; expected (B, 1..{self.context_len})")
+        B, n = t.shape
+        if o.ndim != 3 or o.shape[:2] != (B, n) or r.shape != (B, n) or a.shape != (B, n - 1):
+            raise DtError(f"window arrays {o.shape}, {r.shape}, {a.shape} do not fit timesteps {t.shape}")
+        if np.any(np.diff(t, axis=1) != 1):
+            raise DtError("timestep gap within a window")
+        for name, value in (("timesteps", t), ("observations", o), ("returns", r), ("actions", a)):
+            object.__setattr__(self, name, value)
 
 
-def start_window(obs_vec: np.ndarray, r_hat: float, timestep: int, context_len: int) -> TrajectoryWindow:
-    """Session-start window: one timestep with its action pending."""
+def start_window(
+    observations: np.ndarray, returns: np.ndarray, timesteps: Sequence[int], context_len: int
+) -> TrajectoryWindow:
+    """Session-start windows: one timestep per session, its action pending.
+
+    ``observations`` (B, obs_dim), ``returns`` (B,) and ``timesteps`` (B,).
+    """
     return TrajectoryWindow(
-        context_len=context_len,
-        timesteps=[int(timestep)],
-        observations=[np.asarray(obs_vec, dtype=np.float64)],
-        returns=[float(r_hat)],
-        actions=[None],
+        context_len,
+        np.asarray(timesteps)[:, None],
+        np.asarray(observations)[:, None],
+        np.asarray(returns)[:, None],
+        np.empty((len(timesteps), 0)),
     )
 
 
 def update_window(
     window: TrajectoryWindow,
-    executed_action: int,
-    new_obs: np.ndarray,
-    new_return: float,
+    executed_actions: Sequence[int],
+    new_observations: np.ndarray,
+    new_returns: np.ndarray,
 ) -> TrajectoryWindow:
-    """Complete the pending action, append the next (return, observation) pair.
+    """Complete each pending action and append the next (return, observation) pair.
 
-    The oldest timestep is evicted once the window exceeds its capacity.
+    Every argument has one row per session of ``window``; the oldest
+    timestep drops out once a row would exceed K.
     """
-    window.validate()
-    if not window.pending:
-        raise DtError("no pending action to complete before appending")
-    actions = list(window.actions)
-    actions[-1] = int(executed_action)
-    timesteps = window.timesteps + [window.timesteps[-1] + 1]
-    observations = window.observations + [np.asarray(new_obs, dtype=np.float64)]
-    returns = window.returns + [float(new_return)]
-    actions = actions + [None]
-    if len(timesteps) > window.context_len:
-        timesteps, observations, returns, actions = (
-            timesteps[1:],
-            observations[1:],
-            returns[1:],
-            actions[1:],
-        )
-    out = TrajectoryWindow(window.context_len, timesteps, observations, returns, actions)
-    out.validate()
-    return out
+    B = len(window.timesteps)
+    if not len(executed_actions) == len(new_observations) == len(new_returns) == B:
+        raise DtError(f"batch of {len(new_observations)} sessions; the window holds {B}")
+    drop = max(window.timesteps.shape[1] + 1 - window.context_len, 0)
+
+    def slide(old: np.ndarray, new) -> np.ndarray:
+        return np.concatenate((old, np.asarray(new)[:, None]), axis=1)[:, drop:]
+
+    return TrajectoryWindow(
+        window.context_len,
+        slide(window.timesteps, window.timesteps[:, -1] + 1),
+        slide(window.observations, new_observations),
+        slide(window.returns, new_returns),
+        slide(window.actions, executed_actions),
+    )
 
 
 class DtModel:
@@ -197,20 +202,9 @@ def embed_tokens(model: DtModel, t: np.ndarray, o: np.ndarray, r: np.ndarray, a:
 
 
 def tokenize_window(window: TrajectoryWindow, model: DtModel) -> np.ndarray:
-    """Embed one window into its (n_tokens, D) token run (see ``embed_tokens``).
-
-    A pending newest action contributes no token, giving 3n-1 tokens for n
-    timesteps at decision time and 3n for complete segments.
-    """
-    window.validate()
-    complete = [a for a in window.actions if a is not None]
-    return embed_tokens(
-        model,
-        np.asarray(window.timesteps, dtype=np.int64)[None],
-        np.asarray(window.observations, dtype=np.float64)[None],
-        np.asarray(window.returns, dtype=np.float64)[None],
-        np.eye(model.config.action_count)[complete][None],
-    )[0][0]
+    """The (B, 3n-1, D) decision tokens of a window (see ``embed_tokens``)."""
+    onehot = np.eye(model.config.action_count)[window.actions]
+    return embed_tokens(model, window.timesteps, window.observations, window.returns, onehot)[0]
 
 
 def dt_forward(
@@ -219,14 +213,11 @@ def dt_forward(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Action logits per timestep, read at each observation-token position.
+    """Action logits (B, m, action_count), read at each observation-token position.
 
-    ``tokens`` is (n_tokens, D) or (batch, n_tokens, D) with n_tokens of the
-    form 3m or 3m-1.
+    ``tokens`` is (B, n_tokens, D) with n_tokens of the form 3m or 3m-1.
     """
-    squeezed = tokens.ndim == 2
-    logits = _forward(model, tokens[None] if squeezed else tokens, train, rng, {})
-    return logits[0] if squeezed else logits
+    return _forward(model, tokens, train, rng, {})
 
 
 def _forward(model: DtModel, x: np.ndarray, train: bool, rng, caches: dict) -> np.ndarray:
@@ -234,8 +225,8 @@ def _forward(model: DtModel, x: np.ndarray, train: bool, rng, caches: dict) -> n
 
     Its slots are the block index, "ln_f" and "head".  A dict reused across training steps drops
     each old cache only as its replacement is stored, so memory is reused block by block."""
-    if x.shape[1] % 3 == 1:
-        raise DtError(f"token count {x.shape[1]} is neither 3m nor 3m-1")
+    if x.ndim != 3 or x.shape[1] % 3 == 1:
+        raise DtError(f"tokens of shape {x.shape}; expected (B, n_tokens, D) with n_tokens 3m or 3m-1")
     for i, block in enumerate(model.blocks):
         x, caches[i] = block.forward(x, train, rng)
     x, caches["ln_f"] = model.ln_f.forward(x)
@@ -243,11 +234,9 @@ def _forward(model: DtModel, x: np.ndarray, train: bool, rng, caches: dict) -> n
     return logits
 
 
-def decide(model: DtModel, window: TrajectoryWindow) -> int:
-    """Greedy action for the newest timestep; ties resolve to the lower level."""
-    tokens = tokenize_window(window, model)
-    logits = dt_forward(model, tokens, train=False)
-    return int(np.argmax(logits[-1]))
+def decide(model: DtModel, window: TrajectoryWindow) -> np.ndarray:
+    """Greedy (B,) levels for the newest timestep of each row; ties resolve to the lower level."""
+    return np.argmax(dt_forward(model, tokenize_window(window, model))[:, -1], axis=-1)
 
 
 @dataclass
@@ -280,17 +269,18 @@ def _segment_arrays(trajectories: Sequence[Trajectory], K: int):
     return index
 
 
-def _gather_batch(trajectories, index, picks, K):
-    t = np.empty((len(picks), K), dtype=np.int64)
+def _gather_batch(trajectories, index, picks, length):
+    """Segments of ``length`` timesteps starting at ``index[pick]`` = (trajectory, start)."""
+    t = np.empty((len(picks), length), dtype=np.int64)
     obs_dim = trajectories[0].observations.shape[1]
     n_act = trajectories[0].actions.shape[1]
-    o = np.empty((len(picks), K, obs_dim))
-    r = np.empty((len(picks), K))
-    a = np.empty((len(picks), K, n_act))
+    o = np.empty((len(picks), length, obs_dim))
+    r = np.empty((len(picks), length))
+    a = np.empty((len(picks), length, n_act))
     for row, pick in enumerate(picks):
         ti, s = index[pick]
         traj = trajectories[ti]
-        sl = slice(s, s + K)
+        sl = slice(s, s + length)
         t[row] = traj.timesteps[sl]
         o[row] = traj.observations[sl]
         r[row] = traj.returns[sl]
@@ -373,21 +363,22 @@ def train_dt(
 
 
 def next_action_accuracy(model: DtModel, trajectories: Sequence[Trajectory]) -> float:
-    """Teacher-forced argmax agreement with the expert action at every step."""
-    hits = 0
-    total = 0
+    """Teacher-forced argmax agreement with the expert action at every step.
+
+    The decision window at step t holds the expert's steps max(0, t-K+1)..t,
+    gathered like a training segment with its last action dropped; one
+    ``decide`` call covers step t of every trajectory that long.
+    """
     K = model.config.context_len
-    for traj in trajectories:
-        window = start_window(traj.observations[0], traj.returns[0], int(traj.timesteps[0]), K)
-        for t in range(len(traj)):
-            expert_action = int(np.argmax(traj.actions[t]))
-            hits += int(decide(model, window) == expert_action)
-            total += 1
-            if t + 1 < len(traj):
-                window = update_window(
-                    window, expert_action, traj.observations[t + 1], traj.returns[t + 1]
-                )
-    return hits / total
+    hits = 0
+    for t in range(max(len(traj) for traj in trajectories)):
+        n = min(t + 1, K)
+        index = [(i, t + 1 - n) for i, traj in enumerate(trajectories) if len(traj) > t]
+        steps, o, r, a = _gather_batch(trajectories, index, range(len(index)), n)
+        levels = np.argmax(a, axis=-1)
+        window = TrajectoryWindow(K, steps, o, r, levels[:, :-1])
+        hits += int(np.sum(decide(model, window) == levels[:, -1]))
+    return hits / sum(len(traj) for traj in trajectories)
 
 
 def save_dt(model: DtModel, path: str | Path, ladder_kbps: Sequence[float] | None = None) -> None:
@@ -405,6 +396,9 @@ def from_checkpoint(arrays: dict[str, np.ndarray], meta: dict) -> DtModel:
     """Rebuild a model from the arrays and metadata of a loaded checkpoint."""
     if meta.get("kind") != "dt_policy":
         raise DtError(f"not a sequence-policy checkpoint: {meta.get('kind')}")
+    unknown = sorted(set(meta["config"]) - {f.name for f in fields(DtConfig)})
+    if unknown:
+        raise DtError(f"checkpoint config has fields this version does not know: {unknown}")
     model = DtModel(DtConfig(**meta["config"]))
     nn.restore_params(model.params(), arrays)
     return model
@@ -413,9 +407,9 @@ def from_checkpoint(arrays: dict[str, np.ndarray], meta: dict) -> DtModel:
 class DtPolicy:
     """Streaming policy: maintains the windows, estimates QoE-to-go, decides.
 
-    ``decide_batch`` serves every session of a lock-step run at once: the
-    windows live in (B, K, ...) arrays, the estimator runs once on a (B, 4)
-    feature matrix and the model once on a (B, 3n-1, D) token batch.  A
+    ``decide_batch`` serves every session of a lock-step run at once: it
+    keeps one ``TrajectoryWindow`` of all sessions and their last levels, runs
+    the estimator once on a (B, 4) feature matrix and ``decide`` once.  A
     plain call is the one-session case.  The session's measured-throughput
     history (``state.measured_mbps``) feeds the estimator through the same
     window statistics used when building expert trajectories.
@@ -433,40 +427,24 @@ class DtPolicy:
         self.reset()
 
     def reset(self) -> None:
-        self._n = 0  # timesteps held in every window; the arrays are sized on the next call
+        self._window: TrajectoryWindow | None = None  # sized on the next call
+        self._levels: np.ndarray | None = None
 
     def __call__(self, state: SessionState, obs: Observation) -> int:
         return self.decide_batch([state], [obs])[0]
 
     def decide_batch(self, states: Sequence[SessionState], observations: Sequence[Observation]) -> list[int]:
         """Levels for sessions in lock step: one more timestep in every window."""
-        K = self.model.config.context_len
-        B = len(states)
         stats = est.throughput_stats([throughput_history(s.measured_mbps) for s in states], self.stats_window)
         feats = est.features(
             stats, np.array([o.buffer_s for o in observations]), np.array([o.remaining_frac for o in observations])
         )
         r_hat = est.estimate_batch(self.estimator_model, feats)
         obs = np.stack([o.vector() for o in observations])
-        if self._n == 0:
-            self._t = np.zeros((B, K), dtype=np.int64)
-            self._o = np.zeros((B, K, obs.shape[1]))
-            self._r = np.zeros((B, K))
-            self._a = np.zeros((B, K), dtype=np.int64)
-            self._t[:, 0] = [s.next_chunk for s in states]
-        elif B != len(self._t):
-            raise DtError(f"batch of {B} sessions; the windows hold {len(self._t)}")
-        elif self._n == K:  # evict the oldest timestep
-            for arr in (self._t, self._o, self._r, self._a):
-                arr[:, :-1] = arr[:, 1:]
-            self._t[:, -1] += 1
+        if self._window is None:
+            steps = [s.next_chunk for s in states]
+            self._window = start_window(obs, r_hat, steps, self.model.config.context_len)
         else:
-            self._t[:, self._n] = self._t[:, self._n - 1] + 1
-        self._n = n = min(self._n + 1, K)
-        self._o[:, n - 1] = obs
-        self._r[:, n - 1] = r_hat
-        onehot = np.eye(self.model.config.action_count)[self._a[:, : n - 1]]
-        tokens, _ = embed_tokens(self.model, self._t[:, :n], self._o[:, :n], self._r[:, :n], onehot)
-        levels = np.argmax(dt_forward(self.model, tokens)[:, -1], axis=-1)
-        self._a[:, n - 1] = levels
-        return [int(level) for level in levels]
+            self._window = update_window(self._window, self._levels, obs, r_hat)
+        self._levels = decide(self.model, self._window)
+        return [int(level) for level in self._levels]

@@ -387,6 +387,8 @@ def restore_params(params: Sequence[Param], arrays: dict[str, np.ndarray]) -> No
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     with np.load(path, allow_pickle=False) as data:
+        if "__meta__" not in data.files:
+            raise NnError(f"{path} has no __meta__ header; not a checkpoint")
         meta = json.loads(str(data["__meta__"][()]))
         if meta.get("format_version") != CHECKPOINT_VERSION:
             raise NnError(f"unsupported checkpoint version {meta.get('format_version')}")

@@ -12,7 +12,6 @@ they would get one at a time.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
@@ -25,6 +24,9 @@ OBS_FIELDS = ("buffer_s", "throughput_mbps", "download_s", "next_chunk_sizes_byt
 MAX_BODY_BYTES = 1 << 20
 # Socket timeout of a request's connection; a body still short after it gets 408.
 READ_TIMEOUT_S = 10.0
+# Request numbers are seconds, Mbps, bytes and QoE; larger magnitudes get 400, since
+# the float32 models overflow to non-finite answers on them long before float64 does.
+MAX_MAGNITUDE = 1e9
 
 
 class RequestError(ValueError):
@@ -48,15 +50,12 @@ class DecisionBundle:
 
 
 def _number(value, name: str, minimum: float | None = None) -> float:
-    """A finite JSON number (not a bool or a numeric string), at least ``minimum`` if given."""
+    """A JSON number (not a bool or a numeric string) within ±MAX_MAGNITUDE, at least ``minimum`` if given."""
     if type(value) not in (int, float):
         raise RequestError(f"{name} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        raise RequestError(f"{name} is out of range") from None
-    if not math.isfinite(x):
-        raise RequestError(f"{name} must be finite, got {value!r}")
+    if not abs(value) <= MAX_MAGNITUDE:  # NaN, the infinities and ints past float range included
+        raise RequestError(f"{name} must be a finite number within ±{MAX_MAGNITUDE:g}")
+    x = float(value)
     if minimum is not None and x < minimum:
         raise RequestError(f"{name} must be >= {minimum}, got {value!r}")
     return x
@@ -91,9 +90,9 @@ def handle_decide(bundle: DecisionBundle, payload: dict) -> tuple[int, dict]:
             raise RequestError("request body must be a JSON object")
         if "ladder_kbps" in payload:
             ladder = payload["ladder_kbps"]
-            if not isinstance(ladder, list) or not all(type(r) in (int, float) for r in ladder):
+            if not isinstance(ladder, list):
                 raise RequestError("ladder_kbps must be a list of numbers")
-            if tuple(float(r) for r in ladder) != bundle.ladder_kbps:
+            if tuple(_number(r, "ladder_kbps") for r in ladder) != bundle.ladder_kbps:
                 raise RequestError("ladder_kbps does not match the served model")
         if payload.get("manifest_ref", bundle.manifest_ref) != bundle.manifest_ref:
             raise RequestError(f"unknown manifest_ref; this server serves {bundle.manifest_ref!r}")
@@ -122,11 +121,9 @@ def handle_decide(bundle: DecisionBundle, payload: dict) -> tuple[int, dict]:
         if not isinstance(actions, list) or len(actions) != n - 1:
             raise RequestError(f"window.actions must list {n - 1} past actions")
         n_actions = bundle.model.config.action_count
-        acts = []
         for a in actions:
             if type(a) is not int or not 0 <= a < n_actions:
                 raise RequestError(f"action {a!r} is not an integer in [0, {n_actions})")
-            acts.append(a)
         past_returns = [_number(r, "window.returns") for r in returns]
         expected_sizes = bundle.model.config.obs_dim - 4
         obs = [_parse_observation(o, expected_sizes) for o in observations]
@@ -143,13 +140,9 @@ def handle_decide(bundle: DecisionBundle, payload: dict) -> tuple[int, dict]:
             bundle.estimator_model, est.features(stats, newest.buffer_s, newest.remaining_frac)
         )
         window = dt.TrajectoryWindow(
-            context_len=K,
-            timesteps=list(timesteps),
-            observations=[o.vector() for o in obs],
-            returns=past_returns + [r_hat],
-            actions=acts + [None],
+            K, [timesteps], [[o.vector() for o in obs]], [past_returns + [r_hat]], [actions]
         )
-        level = dt.decide(bundle.model, window)
+        level = int(dt.decide(bundle.model, window)[0])
     except Exception as exc:  # model-side failure
         return 500, {"error": f"decision failed: {exc}"}
     return 200, {"level": level, "r_hat": r_hat}

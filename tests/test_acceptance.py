@@ -244,17 +244,19 @@ def test_criterion_04_causality():
     worst = 0.0
     for trial in range(100):
         n = int(rng.integers(1, config.context_len + 1))
-        window = dt.start_window(rng.random(config.obs_dim), rng.random(), int(rng.integers(0, 40)), config.context_len)
+        window = dt.start_window(
+            rng.random((1, config.obs_dim)), [rng.random()], [int(rng.integers(0, 40))], config.context_len
+        )
         for _ in range(n - 1):
-            window = dt.update_window(window, int(rng.integers(0, 6)), rng.random(config.obs_dim), rng.random())
-        tokens = dt.tokenize_window(window, model)
-        base = dt.dt_forward(model, tokens)
+            window = dt.update_window(window, [int(rng.integers(0, 6))], rng.random((1, config.obs_dim)), [rng.random()])
+        tokens = dt.tokenize_window(window, model)[0]
+        base = dt.dt_forward(model, tokens[None])[0]
         for t in range(n):
             o_pos = 3 * t + 1
             for j in range(o_pos + 1, tokens.shape[0]):
                 perturbed = tokens.copy()
                 perturbed[j] += rng.normal(scale=3.0, size=tokens.shape[1]).astype(perturbed.dtype)
-                out = dt.dt_forward(model, perturbed)
+                out = dt.dt_forward(model, perturbed[None])[0]
                 worst = max(worst, float(np.max(np.abs(out[: t + 1] - base[: t + 1]))))
     report_criterion(
         4,

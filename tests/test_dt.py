@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,13 +25,12 @@ from conftest import constant_trace
 TINY = DtConfig(context_len=4, embed_dim=16, blocks=1, heads=1, dropout=0.0, action_count=6, obs_dim=10, max_timestep=48)
 
 
-def make_window(n, K=4, pending=True, obs_dim=10, seed=0):
+def make_window(n, K=4, obs_dim=10, seed=0):
+    """A one-session window of n timesteps starting at timestep 0."""
     rng = np.random.default_rng(seed)
-    window = start_window(rng.random(obs_dim), rng.random(), 0, K)
+    window = start_window(rng.random((1, obs_dim)), [rng.random()], [0], K)
     for _ in range(n - 1):
-        window = update_window(window, int(rng.integers(0, 6)), rng.random(obs_dim), rng.random())
-    if not pending:
-        window.actions[-1] = int(rng.integers(0, 6))
+        window = update_window(window, [int(rng.integers(0, 6))], rng.random((1, obs_dim)), [rng.random()])
     return window
 
 
@@ -53,46 +54,48 @@ def test_config_validation():
 
 def test_window_growth_and_capacity():
     window = make_window(1)
-    assert len(window) == 1 and window.pending
+    assert window.timesteps.shape == (1, 1) and window.actions.shape == (1, 0)  # newest action pending
     window = make_window(2)
-    assert len(window) == 2
+    assert window.timesteps.shape == (1, 2)
     window = make_window(3)
-    assert len(window) == 3
+    assert window.timesteps.shape == (1, 3)
     window = make_window(7, K=4)
-    assert len(window) == 4  # capped at K
-    assert window.timesteps == [3, 4, 5, 6]  # oldest evicted
+    assert window.timesteps.shape == (1, 4) and window.actions.shape == (1, 3)  # capped at K
+    assert window.timesteps.tolist() == [[3, 4, 5, 6]]  # oldest evicted
 
 
-def test_update_requires_pending():
-    window = make_window(2, pending=False)
-    with pytest.raises(DtError):
-        update_window(window, 0, np.zeros(10), 0.0)
+def test_update_refuses_batch_mismatch():
+    window = make_window(2)
+    with pytest.raises(DtError, match="batch"):
+        update_window(window, [0, 1], np.zeros((2, 10)), [0.0, 0.0])
 
 
 def test_token_counts():
     model = DtModel(TINY, seed=0)
-    full = make_window(4, pending=False)
-    assert tokenize_window(full, model).shape == (12, TINY.embed_dim)
-    decision = make_window(4, pending=True)
-    assert tokenize_window(decision, model).shape == (11, TINY.embed_dim)
+    full = make_window(4)
+    complete = np.eye(TINY.action_count)[np.append(full.actions, [[1]], axis=1)]
+    tokens, _ = dt.embed_tokens(model, full.timesteps, full.observations, full.returns, complete)
+    assert tokens.shape == (1, 12, TINY.embed_dim)
+    decision = make_window(4)
+    assert tokenize_window(decision, model).shape == (1, 11, TINY.embed_dim)
     single = make_window(1)
-    assert tokenize_window(single, model).shape == (2, TINY.embed_dim)
+    assert tokenize_window(single, model).shape == (1, 2, TINY.embed_dim)
 
 
 def test_timestep_gap_rejected():
-    model = DtModel(TINY, seed=0)
     window = make_window(3)
-    window.timesteps[2] = 5
     with pytest.raises(DtError, match="gap"):
-        tokenize_window(window, model)
+        dataclasses.replace(window, timesteps=[[0, 1, 5]])
+    with pytest.raises(DtError, match="do not fit"):
+        dataclasses.replace(window, actions=[[1, 2, 3]])
 
 
 def test_positional_encoding_distinguishes_timesteps():
     model = DtModel(TINY, seed=1)
-    obs = np.ones(10) * 0.5
-    window = start_window(obs, 0.3, 0, 4)
-    window = update_window(window, 2, obs, 0.3)  # identical payload at t=1
-    tokens = tokenize_window(window, model)
+    obs = np.ones((1, 10)) * 0.5
+    window = start_window(obs, [0.3], [0], 4)
+    window = update_window(window, [2], obs, [0.3])  # identical payload at t=1
+    tokens = tokenize_window(window, model)[0]
     # return tokens at t=0 (index 0) and t=1 (index 3) embed the same values
     # but different timesteps
     assert not np.allclose(tokens[0], tokens[3])
@@ -103,11 +106,13 @@ def test_forward_shapes_and_determinism():
     model = DtModel(TINY, seed=2)
     window = make_window(3)
     tokens = tokenize_window(window, model)
-    logits = dt_forward(model, tokens)
+    logits = dt_forward(model, tokens)[0]
     assert logits.shape == (3, 6)
-    assert np.array_equal(logits, dt_forward(model, tokens))
+    assert np.array_equal(logits, dt_forward(model, tokens)[0])
     with pytest.raises(DtError):
-        dt_forward(model, tokens[:4])  # 4 = 3m+1: invalid pattern
+        dt_forward(model, tokens[:, :4])  # 4 = 3m+1: invalid pattern
+    with pytest.raises(DtError):
+        dt_forward(model, tokens[0])  # no batch axis
 
 
 def test_causality_perturbation():
@@ -115,26 +120,26 @@ def test_causality_perturbation():
     rng = np.random.default_rng(0)
     for trial in range(5):
         window = make_window(4, seed=trial)
-        tokens = tokenize_window(window, model)
-        base = dt_forward(model, tokens)
+        tokens = tokenize_window(window, model)[0]
+        base = dt_forward(model, tokens[None])[0]
         for t in range(4):
             o_pos = 3 * t + 1
             for j in range(o_pos + 1, tokens.shape[0]):
                 perturbed = tokens.copy()
                 perturbed[j] += rng.normal(size=tokens.shape[1]).astype(perturbed.dtype)
-                out = dt_forward(model, perturbed)
+                out = dt_forward(model, perturbed[None])[0]
                 assert np.max(np.abs(out[: t + 1] - base[: t + 1])) <= 1e-6
 
 
 def test_decide_range_and_tiebreak():
     model = DtModel(TINY, seed=4)
     window = make_window(4)
-    level = decide(model, window)
+    level = decide(model, window)[0]
     assert 0 <= level < 6
-    assert decide(model, window) == level
+    assert decide(model, window)[0] == level
     model.head.w.value[...] = 0.0
     model.head.b.value[...] = 0.0
-    assert decide(model, window) == 0  # all-equal logits resolve to lowest level
+    assert decide(model, window)[0] == 0  # all-equal logits resolve to lowest level
 
 
 def test_initial_loss_near_uniform():
@@ -159,6 +164,21 @@ def test_overfit_single_trajectory():
     assert next_action_accuracy(model, trajs) >= 0.9
 
 
+def test_pinned_next_action_accuracy():
+    # Recorded with the per-window walk that the batched slicing replaced.
+    lengths = [1, 3, 4, 6, 9, 12, 2, 7]  # three shorter than K, all of them different lengths
+    trajs = [random_trajectory(T, seed=30 + i) for i, T in enumerate(lengths)]
+    trajs[3] = dataclasses.replace(trajs[3], timesteps=trajs[3].timesteps + 5)  # starts mid-session
+    model = DtModel(TINY, seed=5)
+    model.head.w.value *= 100.0
+    assert next_action_accuracy(model, trajs) == 8 / 44
+    hyper = DtTrainConfig(steps=120, batch_size=16, seed=3, target_accuracy=0.7, check_every=20)
+    model, history = train_dt([t for t in trajs if len(t) >= TINY.context_len], TINY, hyper)
+    assert history.accuracy_checks == [(20, 16 / 38), (40, 20 / 38), (60, 25 / 38), (80, 26 / 38), (100, 27 / 38)]
+    assert history.steps_run == 100
+    assert next_action_accuracy(model, trajs) == 28 / 44
+
+
 def test_train_validates_inputs():
     with pytest.raises(DtError):
         train_dt([], TINY)
@@ -179,7 +199,7 @@ def test_checkpoint_roundtrip(tmp_path):
     for p1, p2 in zip(model.params(), loaded.params()):
         assert np.array_equal(p1.value, p2.value)
     window = make_window(4, seed=11)
-    assert decide(model, window) == decide(loaded, window)
+    assert decide(model, window)[0] == decide(loaded, window)[0]
     arrays, meta = nn.load_checkpoint(path)
     assert meta["ladder_kbps"] == list(qoe.DEFAULT_LADDER_KBPS)
 
@@ -199,6 +219,11 @@ def test_checkpoint_refuses_mismatched_arrays(tmp_path):
         nn.save_checkpoint(path, bad, meta)
         with pytest.raises(nn.NnError, match=match):
             dt.load_dt(path)
+    with pytest.raises(DtError, match="bogus"):
+        dt.from_checkpoint(arrays, dict(meta, config=dict(meta["config"], bogus=3)))
+    np.savez(path, **arrays)  # no __meta__ header
+    with pytest.raises(nn.NnError, match="__meta__"):
+        dt.load_dt(path)
 
 
 def test_dt_policy_runs_session():
@@ -218,21 +243,17 @@ def test_batched_decisions_match_single_windows():
     model.head.w.value *= 100.0  # logits of order 1, so 1e-5 is a tight bound
     for n in range(1, TINY.context_len + 1):
         windows = [make_window(n, seed=10 * n + b) for b in range(12)]
-        for b, window in enumerate(windows):
-            window.timesteps = [t + 3 * b for t in window.timesteps]
-        complete = np.eye(TINY.action_count)[np.array([w.actions[:-1] for w in windows], dtype=np.int64)]
-        tokens, _ = dt.embed_tokens(
-            model,
-            np.array([w.timesteps for w in windows]),
-            np.array([w.observations for w in windows]),
-            np.array([w.returns for w in windows]),
-            complete,
+        windows = [dataclasses.replace(w, timesteps=w.timesteps + 3 * b) for b, w in enumerate(windows)]
+        batch = dt.TrajectoryWindow(
+            TINY.context_len,
+            *(np.concatenate([getattr(w, f) for w in windows]) for f in ("timesteps", "observations", "returns", "actions")),
         )
-        batched = dt_forward(model, tokens)[:, -1]
+        batched = dt_forward(model, tokenize_window(batch, model))[:, -1]
+        assert np.array_equal(decide(model, batch), np.argmax(batched, axis=-1))
         for b, window in enumerate(windows):
-            single = dt_forward(model, tokenize_window(window, model))[-1]
+            single = dt_forward(model, tokenize_window(window, model))[0, -1]
             assert np.max(np.abs(batched[b] - single)) < 1e-5
-            assert int(np.argmax(batched[b])) == decide(model, window)
+            assert int(np.argmax(batched[b])) == decide(model, window)[0]
 
 
 def test_dt_policy_lock_step_matches_single_sessions():

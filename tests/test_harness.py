@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import http.client
 import json
+import math
 import sys
 import threading
 import time
@@ -10,8 +11,9 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abrlab import cli, dt, estimator as est, expert, harness, qoe, service, sim, traces
+from abrlab import cli, dt, estimator as est, expert, harness, nn, qoe, service, sim, traces
 from abrlab.harness import AlgorithmSpec, HarnessError, RunConfig, evaluate_corpus, emit_report
 
 from conftest import constant_trace
@@ -327,7 +329,7 @@ def test_handle_decide_rejects_bad_timesteps(service_bundle, timesteps):
     assert status == 400 and "timesteps" in body["error"]
 
 
-@pytest.mark.parametrize("ladder", [4300, "300,750", None, {"0": 300.0}, ["300"] * 6, [True] * 6])
+@pytest.mark.parametrize("ladder", [4300, "300,750", None, {"0": 300.0}, ["300"] * 6, [True] * 6, [10**400]])
 def test_handle_decide_rejects_malformed_ladder(service_bundle, ladder):
     request = well_formed_request()
     request["ladder_kbps"] = ladder
@@ -354,6 +356,8 @@ def test_handle_decide_rejects_malformed_ladder(service_bundle, ladder):
         ("returns", None),
         ("actions", True),
         ("actions", 2.0),
+        ("buffer_s", 1e300),  # finite, but past what the float32 models can represent
+        ("throughput_mbps", 2e39),
     ],
 )
 def test_handle_decide_rejects_bad_numbers(service_bundle, key, value):
@@ -394,6 +398,15 @@ def test_serve_refuses_mismatched_checkpoint(service_bundle, tmp_path, capsys, m
     argv = ["serve", "--dt", str(tmp_path / "dt.npz"), "--estimator", str(tmp_path / "est.npz"), "--port", "0"]
     assert cli.main(argv) == 2
     assert "dt.head.w" in capsys.readouterr().err
+
+    dt.save_dt(service_bundle.model, tmp_path / "dt.npz", service_bundle.ladder_kbps)
+    arrays, meta = nn.load_checkpoint(tmp_path / "dt.npz")
+    nn.save_checkpoint(tmp_path / "dt.npz", arrays, dict(meta, config=dict(meta["config"], bogus=3)))
+    assert cli.main(argv) == 2
+    assert "bogus" in capsys.readouterr().err
+    np.savez(tmp_path / "dt.npz", **arrays)  # no __meta__ header
+    assert cli.main(argv) == 2
+    assert "__meta__" in capsys.readouterr().err
 
 
 def random_request(rng, max_timestep=48, K=4):
@@ -456,6 +469,48 @@ def test_handle_decide_model_failure_is_5xx(service_bundle):
     assert status == 500 and "error" in body
 
 
+def _json_paths(doc, prefix=()):
+    """Every position of a JSON document, the root () included."""
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+# What json.loads can produce; ints past 4300 digits are refused by the parser itself.
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.builds(lambda e, sign: sign * 10**e, st.integers(309, 400), st.sampled_from((1, -1)))  # past float range
+    | st.floats()  # NaN and the infinities included
+    | st.text(max_size=8)
+)
+JSON_VALUES = JSON_LEAVES | st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=400, deadline=1000, derandomize=True)
+@given(path=st.sampled_from(list(_json_paths(well_formed_request()))), value=JSON_VALUES)
+def test_handle_decide_answers_any_json_with_200_or_400(service_bundle, path, value):
+    request = well_formed_request()
+    if path:
+        parent = request
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        request = value
+    status, body = service.handle_decide(service_bundle, request)
+    assert status in (200, 400), body
+    if status == 200:
+        assert 0 <= body["level"] < service_bundle.model.config.action_count
+        assert math.isfinite(body["r_hat"]) and body["r_hat"] >= 0.0
+
+
 def test_http_server_rejects_negative_content_length(service_bundle):
     server = service.make_server(service_bundle, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -472,6 +527,7 @@ def test_http_server_rejects_negative_content_length(service_bundle):
         conn.close()
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
 
@@ -502,6 +558,7 @@ def test_http_server_refuses_oversized_body_unread(service_bundle, length):
             assert ok.status == 200
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
 
@@ -572,6 +629,8 @@ def test_http_server_roundtrip(service_bundle):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req)
         assert excinfo.value.code == 400
+        excinfo.value.close()  # the error carries the open response
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
