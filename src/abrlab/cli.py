@@ -161,13 +161,25 @@ def _cmd_train_dt(args) -> int:
     obs_width = trajectories[0].observations.shape[1]
     n_actions = trajectories[0].actions.shape[1]
     max_t = max(int(t.timesteps.max()) for t in trajectories) + 1
-    config = dt.DtConfig(
-        context_len=args.context_len, action_count=n_actions, obs_dim=obs_width, max_timestep=max_t
-    )
-    hyper = dt.DtTrainConfig(steps=args.steps, batch_size=args.batch, seed=args.seed)
-    model, history = dt.train_dt(trajectories, config, hyper)
+    start = time.perf_counter()
+    try:  # refuse bad settings before any checkpoint is written
+        config = dt.DtConfig(
+            context_len=args.context_len, action_count=n_actions, obs_dim=obs_width, max_timestep=max_t
+        )
+        hyper = dt.DtTrainConfig(steps=args.steps, batch_size=args.batch, seed=args.seed)
+        model, history = dt.train_dt(trajectories, config, hyper)
+    except dt.DtError as exc:
+        print(f"abrlab train-dt: {exc}", file=sys.stderr)
+        return 2
+    train_s = time.perf_counter() - start
     dt.save_dt(model, args.out)
-    print(f"trained {history.steps_run} steps; final loss {history.losses[-1]:.4f}")
+    # Training throughput goes to stdout only; tokens count batch x 3K per step.
+    steps = history.steps_run
+    tokens = steps * hyper.batch_size * 3 * config.context_len
+    print(
+        f"trained {steps} steps in {train_s:.3f} s ({steps / train_s:.1f} steps/s, "
+        f"{tokens / train_s:.0f} tokens/s); final loss {history.losses[-1]:.4f}"
+    )
     return 0
 
 
@@ -187,6 +199,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    try:
+        dt_hyper = dt.DtTrainConfig(steps=args.steps, seed=args.seed)
+    except dt.DtError as exc:
+        print(f"abrlab sweep: {exc}", file=sys.stderr)
+        return 2
     config = harness.load_run_config(args.config)
     manifest = qoe.load_manifest(config.manifest_path)
     train = [traces.load_trace_file(p) for p in config.train_trace_paths]
@@ -206,7 +223,7 @@ def _cmd_sweep(args) -> int:
         dt_config=dt.DtConfig(
             action_count=len(manifest.ladder), obs_dim=obs_width, max_timestep=manifest.chunk_count
         ),
-        dt_hyper=dt.DtTrainConfig(steps=args.steps, seed=args.seed),
+        dt_hyper=dt_hyper,
         sim_config=config.sim_config,
         dp_config=config.dp_config,
     )

@@ -12,7 +12,7 @@ than padded placeholders.  The same window serves the lock-step policy, the
 HTTP service (B = 1) and teacher-forced accuracy.  ``embed_tokens`` builds
 this layout once, for training segments and decision windows alike.  One
 model forward, which keeps no state on the model, serves training and
-decisions.
+decisions; its last block computes only the tokens whose logits are read.
 """
 
 from __future__ import annotations
@@ -220,23 +220,31 @@ def dt_forward(
     return _forward(model, tokens, train, rng, {})
 
 
-def _forward(model: DtModel, x: np.ndarray, train: bool, rng, caches: dict) -> np.ndarray:
-    """Logits at the observation tokens of a (B, n_tokens, D) batch; layer caches go into ``caches``.
+def _forward(
+    model: DtModel, x: np.ndarray, train: bool, rng, caches: dict, rows: slice = slice(1, None, 3)
+) -> np.ndarray:
+    """Logits at the ``rows`` tokens of a (B, n_tokens, D) batch; layer caches go into ``caches``.
 
-    Its slots are the block index, "ln_f" and "head".  A dict reused across training steps drops
-    each old cache only as its replacement is stored, so memory is reused block by block."""
+    ``rows`` selects observation tokens: all of them (training, ``dt_forward``) or the newest
+    (``decide``).  Only the last block, ``ln_f`` and the head run at ``rows`` alone; earlier
+    blocks feed every token's keys and values.  The cache slots are the block index, "ln_f" and
+    "head".  A dict reused across training steps drops each old cache only as its replacement is
+    stored, so memory is reused block by block."""
     if x.ndim != 3 or x.shape[1] % 3 == 1:
         raise DtError(f"tokens of shape {x.shape}; expected (B, n_tokens, D) with n_tokens 3m or 3m-1")
+    last = len(model.blocks) - 1
     for i, block in enumerate(model.blocks):
-        x, caches[i] = block.forward(x, train, rng)
+        x, caches[i] = block.forward(x, train, rng, rows if i == last else None)
     x, caches["ln_f"] = model.ln_f.forward(x)
-    logits, caches["head"] = model.head.forward(x[:, 1::3, :])
+    logits, caches["head"] = model.head.forward(x)
     return logits
 
 
 def decide(model: DtModel, window: TrajectoryWindow) -> np.ndarray:
     """Greedy (B,) levels for the newest timestep of each row; ties resolve to the lower level."""
-    return np.argmax(dt_forward(model, tokenize_window(window, model))[:, -1], axis=-1)
+    # The newest token of a window is the observation token of its pending action.
+    logits = _forward(model, tokenize_window(window, model), False, None, {}, slice(-1, None))
+    return np.argmax(logits[:, 0], axis=-1)
 
 
 @dataclass
@@ -250,6 +258,11 @@ class DtTrainConfig:
     # trajectories every check_every steps, stop at target_accuracy.
     target_accuracy: float | None = None
     check_every: int = 200
+
+    def __post_init__(self) -> None:
+        for name in ("steps", "batch_size", "check_every"):
+            if getattr(self, name) < 1:
+                raise DtError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -308,8 +321,7 @@ def _loss_and_grads(
     loss, dlogits = nn.cross_entropy(
         logits.reshape(B * K, cfg.action_count), a.reshape(B * K, cfg.action_count).astype(dtype)
     )
-    dx = np.zeros_like(tokens)
-    dx[:, 1::3, :] = model.head.backward(caches["head"], dlogits.reshape(B, K, cfg.action_count))
+    dx = model.head.backward(caches["head"], dlogits.reshape(B, K, cfg.action_count))
     dx = model.ln_f.backward(caches["ln_f"], dx)
     for i in reversed(range(len(model.blocks))):
         dx = model.blocks[i].backward(caches[i], dx)

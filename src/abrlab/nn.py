@@ -10,9 +10,14 @@ Layers hold parameters only: ``forward(...)`` returns ``(y, cache)`` and writes
 nothing to the layer, and ``backward(cache, dy)`` accumulates into each
 ``Param.grad`` and returns ``dx``, so one model can serve concurrent forwards.
 
-Parameters are stored in float32 by default; reductions (means, losses)
-accumulate in float64 before casting back.  Layers are dtype-polymorphic,
-so gradient checks can run the same code in float64.
+Parameters are stored in float32 by default.  Losses and the bias and
+parameter-gradient sums over the batch accumulate in float64 before casting
+back; ``LayerNorm`` reduces each row in its input dtype.  Layers are
+dtype-polymorphic, so gradient checks can run the same code in float64.
+
+Attention and transformer blocks take ``rows``, a token slice: keys and
+values come from every token, and everything else runs only at ``rows``, so
+a last block computes only the positions its caller reads.
 """
 
 from __future__ import annotations
@@ -98,10 +103,12 @@ class LayerNorm:
         self.eps = eps
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        mu = x.mean(axis=-1, keepdims=True, dtype=np.float64)
-        var = np.square(x - mu).mean(axis=-1, keepdims=True, dtype=np.float64)
-        inv_std = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)
-        xhat = ((x - mu) * inv_std).astype(x.dtype)
+        xc = x - x.mean(axis=-1, keepdims=True)
+        # When the mean is large against the spread, x - mu is exact and its own mean is the
+        # rounding error of mu; taking it out keeps float32 rows as accurate as float64 ones.
+        xc -= xc.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(np.square(xc).mean(axis=-1, keepdims=True) + self.eps)
+        xhat = xc * inv_std
         return xhat * self.g.value + self.b.value, (xhat, inv_std)
 
     def backward(self, cache: tuple, dy: np.ndarray) -> np.ndarray:
@@ -109,9 +116,9 @@ class LayerNorm:
         dxhat = dy * self.g.value
         self.g.grad += (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0, dtype=np.float64).astype(self.g.value.dtype)
         self.b.grad += dy.reshape(-1, dy.shape[-1]).sum(axis=0, dtype=np.float64).astype(self.b.value.dtype)
-        m1 = dxhat.mean(axis=-1, keepdims=True, dtype=np.float64)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float64)
-        return (inv_std * (dxhat - m1 - xhat * m2)).astype(dy.dtype)
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return inv_std * (dxhat - m1 - xhat * m2)
 
     def params(self) -> list[Param]:
         return [self.g, self.b]
@@ -138,19 +145,25 @@ class Embedding:
 
 
 class Dropout:
-    """Inverted dropout: scales kept activations by 1/(1-rate) at train time."""
+    """Inverted dropout: scales kept activations by 1/(1-rate) at train time.
+
+    With ``rows``, ``x`` holds those rows of a ``tokens``-long axis -2: the mask is drawn over
+    the whole axis and read at ``rows``, so the random stream does not depend on ``rows``.
+    """
 
     def __init__(self, rate: float) -> None:
         if not 0.0 <= rate < 1.0:
             raise NnError("dropout rate must be in [0, 1)")
         self.rate = rate
 
-    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None) -> tuple:
+    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None,
+                rows: slice = slice(None), tokens: int | None = None) -> tuple:
         if not train or self.rate == 0.0:
             return x, None
         if rng is None:
             raise NnError("training-mode dropout needs an rng")
-        mask = ((rng.random(x.shape) >= self.rate) / (1.0 - self.rate)).astype(x.dtype)
+        grid = x.shape if tokens is None else (*x.shape[:-2], tokens, x.shape[-1])
+        mask = (rng.random(grid)[..., rows, :] >= self.rate) * x.dtype.type(1.0 / (1.0 - self.rate))
         return x * mask, mask
 
     def backward(self, mask: np.ndarray | None, dy: np.ndarray) -> np.ndarray:
@@ -165,7 +178,8 @@ class CausalSelfAttention:
 
     Masked scores are set to -inf before the softmax, so future positions get
     exactly zero weight and cannot influence earlier outputs.  Inputs are
-    (batch, tokens, dim).
+    (batch, tokens, dim); queries and outputs are taken at ``rows`` only
+    (None: every token), each masked by its absolute position.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, dropout: float = 0.0,
@@ -189,24 +203,28 @@ class CausalSelfAttention:
         b, h, t, hd = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
-    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> tuple:
+    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None,
+                rows: slice | None = None) -> tuple:
+        rows = slice(None) if rows is None else rows
         b, t, _ = x.shape
-        (q, cq), (k, ck), (v, cv) = self.wq.forward(x), self.wk.forward(x), self.wv.forward(x)
+        (q, cq), (k, ck), (v, cv) = self.wq.forward(x[:, rows]), self.wk.forward(x), self.wv.forward(x)
         q, k, v = self._split(q), self._split(k), self._split(v)
         scale = 1.0 / math.sqrt(self.head_dim)
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        mask = np.triu(np.ones((t, t), dtype=bool), k=1)
+        pos = np.arange(t)
+        mask = pos > pos[rows, None]
         scores = np.where(mask, -np.inf, scores)
         scores -= scores.max(axis=-1, keepdims=True)
         e = np.exp(scores)
         att = e / e.sum(axis=-1, keepdims=True)
         att = att.astype(x.dtype)
-        att_kept, drop_mask = self.attn_drop.forward(att, train, rng)
+        att_kept, drop_mask = self.attn_drop.forward(att, train, rng, rows, t)
         out, co = self.wo.forward(self._merge(att_kept @ v))
-        return out, (q, k, v, att, att_kept, drop_mask, cq, ck, cv, co)
+        return out, (q, k, v, att, att_kept, drop_mask, cq, ck, cv, co, rows)
 
     def backward(self, cache: tuple, dy: np.ndarray) -> np.ndarray:
-        q, k, v, att, att_kept, drop_mask, cq, ck, cv, co = cache
+        """Gradient for every token of ``x``; the query path's lands at the forward's ``rows``."""
+        q, k, v, att, att_kept, drop_mask, cq, ck, cv, co, rows = cache
         scale = 1.0 / math.sqrt(self.head_dim)
         dmerged = self._split(self.wo.backward(co, dy))
         datt_kept = dmerged @ v.transpose(0, 1, 3, 2)
@@ -217,8 +235,9 @@ class CausalSelfAttention:
         dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
         dq = (dscores @ k) * scale
         dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
-        dx = self.wq.backward(cq, self._merge(dq))
-        dx = dx + self.wk.backward(ck, self._merge(dk))
+        dxq = self.wq.backward(cq, self._merge(dq))
+        dx = self.wk.backward(ck, self._merge(dk))
+        dx[:, rows] += dxq
         return dx + self.wv.backward(cv, self._merge(dv))
 
     def params(self) -> list[Param]:
@@ -226,7 +245,11 @@ class CausalSelfAttention:
 
 
 class TransformerBlock:
-    """Pre-norm residual block: attention then a ReLU MLP, dropout on both paths."""
+    """Pre-norm residual block: attention then a ReLU MLP, dropout on both paths.
+
+    ``forward(x, ..., rows)`` returns the block's output at ``rows`` only (None: every
+    token); ``backward`` takes the gradient at those rows and returns it for every token.
+    """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, dropout: float = 0.0,
                  mlp_ratio: int = 4, name: str = "block", dtype=np.float32) -> None:
@@ -239,25 +262,30 @@ class TransformerBlock:
         self.fc2 = Affine(mlp_ratio * dim, dim, rng, f"{name}.fc2", dtype=dtype)
         self.drop2 = Dropout(dropout)
 
-    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> tuple:
+    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None,
+                rows: slice | None = None) -> tuple:
+        rows = slice(None) if rows is None else rows
+        t = x.shape[1]
         h, c_ln1 = self.ln1.forward(x)
-        h, c_attn = self.attn.forward(h, train, rng)
-        a, c_drop1 = self.drop1.forward(h, train, rng)
-        x = x + a
+        h, c_attn = self.attn.forward(h, train, rng, rows)
+        a, c_drop1 = self.drop1.forward(h, train, rng, rows, t)
+        x = x[:, rows] + a
         h, c_ln2 = self.ln2.forward(x)
         h, c_fc1 = self.fc1.forward(h)
         h, c_act = self.act.forward(h)
         h, c_fc2 = self.fc2.forward(h)
-        m, c_drop2 = self.drop2.forward(h, train, rng)
-        return x + m, (c_ln1, c_attn, c_drop1, c_ln2, c_fc1, c_act, c_fc2, c_drop2)
+        m, c_drop2 = self.drop2.forward(h, train, rng, rows, t)
+        return x + m, (c_ln1, c_attn, c_drop1, c_ln2, c_fc1, c_act, c_fc2, c_drop2, rows)
 
     def backward(self, cache: tuple, dy: np.ndarray) -> np.ndarray:
-        c_ln1, c_attn, c_drop1, c_ln2, c_fc1, c_act, c_fc2, c_drop2 = cache
+        c_ln1, c_attn, c_drop1, c_ln2, c_fc1, c_act, c_fc2, c_drop2, rows = cache
         dm = self.drop2.backward(c_drop2, dy)
         dh = self.fc1.backward(c_fc1, self.act.backward(c_act, self.fc2.backward(c_fc2, dm)))
-        dx = dy + self.ln2.backward(c_ln2, dh)
-        da = self.drop1.backward(c_drop1, dx)
-        return dx + self.ln1.backward(c_ln1, self.attn.backward(c_attn, da))
+        dx_rows = dy + self.ln2.backward(c_ln2, dh)
+        da = self.drop1.backward(c_drop1, dx_rows)
+        dx = self.ln1.backward(c_ln1, self.attn.backward(c_attn, da))
+        dx[:, rows] += dx_rows
+        return dx
 
     def params(self) -> list[Param]:
         return (

@@ -10,6 +10,10 @@ grid, so planner totals must match enumeration to float round-off.  The flat
 robust-MPC rollout replays every level sequence of the horizon in full, with
 its own buffer update, as the reference for the prefix-tree search.  The
 pairwise dominance check is the reference for the planner's grid prune.
+The reference sequence-model forward rebuilds the interleaved tokens from
+the raw window and runs every token through every block in float64, one
+query position at a time; it reads only the model's parameter arrays and
+config, never the ``nn`` or ``dt`` forward code.
 """
 
 from __future__ import annotations
@@ -202,3 +206,57 @@ def strictly_dominated(tq, bq, lv, val):
         ],
         dtype=bool,
     )
+
+
+def reference_dt_logits(arrays: dict, config, timesteps, observations, returns, levels) -> np.ndarray:
+    """Float64 action logits (B, n, actions) at the observation token of every timestep.
+
+    ``arrays`` maps parameter names to values; ``timesteps`` (B, n), ``observations``
+    (B, n, obs_dim) and ``returns`` (B, n) cover n timesteps, and ``levels`` (B, m) the
+    actions of the first m = n - 1 or n of them.  Tokens are (return, observation,
+    action) per timestep, each plus its timestep embedding.
+    """
+    P = {name: np.asarray(value, dtype=np.float64) for name, value in arrays.items()}
+    obs_scale = np.array(
+        [config.buffer_norm_s, config.throughput_norm_mbps, config.download_norm_s]
+        + [config.size_norm_bytes] * (config.obs_dim - 4)
+        + [1.0]
+    )
+
+    def affine(x, name):
+        return x @ P[f"{name}.w"] + P[f"{name}.b"]
+
+    def layer_norm(x, name):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        return (x - mu) / np.sqrt(var + 1e-5) * P[f"{name}.g"] + P[f"{name}.b"]
+
+    def attention(x, name):
+        B, T, D = x.shape
+        hd = D // config.heads
+        q, k, v = (affine(x, f"{name}.{w}") for w in "qkv")
+        out = np.zeros_like(x)
+        for h in range(config.heads):
+            cols = slice(h * hd, (h + 1) * hd)
+            for i in range(T):  # position i sees positions 0..i
+                scores = np.einsum("bd,bjd->bj", q[:, i, cols], k[:, : i + 1, cols]) / np.sqrt(hd)
+                weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+                weights /= weights.sum(axis=1, keepdims=True)
+                out[:, i, cols] = np.einsum("bj,bjd->bd", weights, v[:, : i + 1, cols])
+        return affine(out, f"{name}.o")
+
+    t_emb = P["dt.embed_t.table"][np.asarray(timesteps)]
+    onehot = np.eye(config.action_count)[np.asarray(levels, dtype=np.int64)]
+    tokens = []
+    for i in range(t_emb.shape[1]):
+        tokens.append(affine(np.asarray(returns, dtype=np.float64)[:, i, None], "dt.embed_r") + t_emb[:, i])
+        tokens.append(affine(np.asarray(observations)[:, i] / obs_scale, "dt.embed_o") + t_emb[:, i])
+        if i < onehot.shape[1]:
+            tokens.append(affine(onehot[:, i], "dt.embed_a") + t_emb[:, i])
+    x = np.stack(tokens, axis=1)
+    for b in range(config.blocks):
+        name = f"dt.block{b}"
+        x = x + attention(layer_norm(x, f"{name}.ln1"), f"{name}.attn")
+        hidden = np.maximum(affine(layer_norm(x, f"{name}.ln2"), f"{name}.fc1"), 0.0)
+        x = x + affine(hidden, f"{name}.fc2")
+    return affine(layer_norm(x, "dt.ln_f"), "dt.head")[:, 1::3]

@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 import re
 
-from abrlab import cli, qoe, traces
+import numpy as np
+import pytest
+
+from abrlab import cli, expert, qoe, traces
 
 
 def run(argv) -> int:
@@ -51,10 +54,18 @@ def test_cli_full_workflow(tmp_path, capsys):
     assert "frontier" not in traj_path.read_text()
 
     dt_path = out / "dt.npz"
+    capsys.readouterr()
     assert run([
         "train-dt", "--trajectories", str(traj_path), "--out", str(dt_path),
         "--context-len", "2", "--steps", "5", "--batch", "16", "--seed", "3",
     ]) == 0
+    # Training throughput goes to stdout; a step is 16 x 3K = 96 tokens.
+    match = re.fullmatch(
+        r"trained 5 steps in ([0-9.]+) s \(([0-9.]+) steps/s, ([0-9]+) tokens/s\); final loss [0-9.]+",
+        capsys.readouterr().out.splitlines()[-1],
+    )
+    assert match
+    assert abs(float(match.group(3)) / float(match.group(2)) - 96) <= 0.01 * 96
 
     run_cfg = {
         "manifest": str(manifest_path),
@@ -114,3 +125,27 @@ def test_cli_sweep(tmp_path, capsys):
     table = json.loads((out / "sweep" / "sweep_K.json").read_text())
     assert [row["value"] for row in table] == [1, 2]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["--steps", "0"], "steps must be >= 1"),
+    (["--steps", "-3"], "steps must be >= 1"),
+    (["--batch", "0"], "batch_size must be >= 1"),
+    (["--context-len", "0"], "context_len must be >= 1"),
+    (["--context-len", "7"], "shorter than context_len 7"),
+])
+def test_train_dt_refuses_bad_settings(tmp_path, capsys, args, reason):
+    """A refused setting exits with status 2 and its reason, and writes no checkpoint."""
+    rng = np.random.default_rng(0)
+    traj = expert.Trajectory("t", np.arange(6), rng.random((6, 10)), rng.random(6), np.eye(6)[rng.integers(0, 6, 6)])
+    traj_path, dt_path = tmp_path / "expert.jsonl", tmp_path / "dt.npz"
+    expert.save_trajectories([traj], traj_path)
+    assert run(["train-dt", "--trajectories", str(traj_path), "--out", str(dt_path), "--steps", "1"] + args) == 2
+    assert reason in capsys.readouterr().err
+    assert not dt_path.exists()
+
+
+def test_sweep_refuses_nonpositive_steps(tmp_path, capsys):
+    argv = ["sweep", "--config", str(tmp_path / "run.json"), "--parameter", "K", "--values", "1", "--steps", "0"]
+    assert run(argv) == 2
+    assert "steps must be >= 1" in capsys.readouterr().err

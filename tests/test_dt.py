@@ -20,6 +20,7 @@ from abrlab.dt import (
     update_window,
 )
 
+import oracles
 from conftest import constant_trace
 
 TINY = DtConfig(context_len=4, embed_dim=16, blocks=1, heads=1, dropout=0.0, action_count=6, obs_dim=10, max_timestep=48)
@@ -115,6 +116,27 @@ def test_forward_shapes_and_determinism():
         dt_forward(model, tokens[0])  # no batch axis
 
 
+@pytest.mark.parametrize("B", [1, 5])
+def test_forward_and_decide_match_reference(B):
+    """The trimmed last block reads the same logits as every token through every block."""
+    cfg = DtConfig(context_len=4, embed_dim=16, blocks=3, heads=2, action_count=6, obs_dim=10, max_timestep=48)
+    model = DtModel(cfg, seed=4, dtype=np.float64)
+    arrays = model.named_arrays()
+    rng = np.random.default_rng(B)
+    for n in range(1, cfg.context_len + 1):
+        t = rng.integers(0, cfg.max_timestep - n, (B, 1)) + np.arange(n)
+        o = rng.random((B, n, cfg.obs_dim)) * model.obs_scale
+        r = rng.normal(size=(B, n))
+        levels = rng.integers(0, cfg.action_count, (B, n))
+        for m in (n, n - 1):  # a complete segment, then the decision window
+            tokens, _ = dt.embed_tokens(model, t, o, r, np.eye(cfg.action_count)[levels[:, :m]])
+            reference = oracles.reference_dt_logits(arrays, cfg, t, o, r, levels[:, :m])
+            assert reference.shape == (B, n, cfg.action_count)
+            assert np.allclose(dt_forward(model, tokens), reference, rtol=0, atol=1e-10)
+        window = dt.TrajectoryWindow(cfg.context_len, t, o, r, levels[:, :-1])
+        assert np.array_equal(decide(model, window), np.argmax(reference[:, -1], axis=-1))
+
+
 def test_causality_perturbation():
     model = DtModel(TINY, seed=3)
     rng = np.random.default_rng(0)
@@ -162,6 +184,13 @@ def test_overfit_single_trajectory():
     hyper = DtTrainConfig(steps=400, batch_size=16, seed=2, target_accuracy=1.0, check_every=50)
     model, history = train_dt(trajs, TINY, hyper)
     assert next_action_accuracy(model, trajs) >= 0.9
+
+
+@pytest.mark.parametrize("field", ["steps", "batch_size", "check_every"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_train_config_refuses_nonpositive_counts(field, value):
+    with pytest.raises(DtError, match=f"{field} must be >= 1"):
+        DtTrainConfig(**{field: value})
 
 
 def test_pinned_next_action_accuracy():

@@ -204,6 +204,68 @@ def test_transformer_block_gradients(seed):
     assert grad_check(fn, block.params()) < 1e-3
 
 
+@pytest.mark.parametrize("rows", [slice(1, None, 3), slice(-1, None)])
+def test_trimmed_block_matches_full_block_rows(rows):
+    """rows= computes the same outputs and gradients as the full block, with the same dropout draws."""
+    rng = np.random.default_rng(10)
+    block = TransformerBlock(6, 2, rng, dropout=0.1, mlp_ratio=2, dtype=np.float64)
+    x = rng.normal(size=(3, 12, 6))
+    full, full_cache = block.forward(x, True, np.random.default_rng(20))
+    trimmed, cache = block.forward(x, True, np.random.default_rng(20), rows=rows)
+    assert trimmed.shape == full[:, rows].shape
+    assert np.allclose(trimmed, full[:, rows], rtol=0, atol=1e-12)
+
+    dy = rng.normal(size=trimmed.shape)
+    dy_full = np.zeros_like(full)
+    dy_full[:, rows] = dy
+    dx_full = block.backward(full_cache, dy_full)
+    grads_full = [p.grad.copy() for p in block.params()]
+    for p in block.params():
+        p.grad[...] = 0.0
+    assert np.allclose(block.backward(cache, dy), dx_full, rtol=0, atol=1e-12)
+    for p, g in zip(block.params(), grads_full):
+        assert np.allclose(p.grad, g, rtol=0, atol=1e-12), p.name
+
+
+@pytest.mark.parametrize("rows", [slice(1, None, 3), slice(-1, None)])
+def test_trimmed_block_gradients(rows):
+    rng = np.random.default_rng(11)
+    block = TransformerBlock(4, 2, rng, dropout=0.1, mlp_ratio=2, dtype=np.float64)
+    x = nn.Param("x", rng.normal(size=(2, 6, 4)))
+    proj = rng.normal(size=(2, 6, 4))[:, rows]
+
+    def fn():
+        for p in block.params():
+            p.grad[...] = 0.0
+        out, cache = block.forward(x.value, True, np.random.default_rng(3), rows=rows)
+        x.grad = block.backward(cache, proj)
+        return float((out * proj).sum())
+
+    assert grad_check(fn, block.params() + [x]) < 1e-6
+
+
+def test_layernorm_float32_matches_float64():
+    """Float32 rows reduce in float32 yet stay within 1e-5 of float64, also when the mean dwarfs the spread."""
+    rng = np.random.default_rng(12)
+    dim = 128
+    means, stds = np.array([0.0, 1e3, -1e3, 5.0, 0.0]), np.array([1.0, 1.0, 1.0, 0.1, 30.0])
+    x = (means[:, None, None] + stds[:, None, None] * rng.normal(size=(5, 8, dim))).astype(np.float32)
+    dy = rng.normal(size=x.shape).astype(np.float32)
+    g, b = rng.normal(1.0, 0.2, dim).astype(np.float32), rng.normal(0.0, 0.2, dim).astype(np.float32)
+    results = []
+    for dtype in (np.float32, np.float64):
+        ln = LayerNorm(dim, dtype=dtype)
+        ln.g.value, ln.b.value = g.astype(dtype), b.astype(dtype)
+        y, cache = ln.forward(x.astype(dtype))
+        dx = ln.backward(cache, dy.astype(dtype))
+        assert y.dtype == dx.dtype == dtype
+        results.append((y, dx, ln.g.grad, ln.b.grad))
+    for low, ref in zip(*results):
+        # Relative to the largest reference value of each row (or of the whole parameter gradient).
+        scale = np.abs(ref).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(low - ref) <= 1e-5 * scale)
+
+
 def _state(obj) -> dict:
     """Identity of every attribute, recursing into sub-layers and params."""
     return {k: _state(v) if hasattr(v, "__dict__") else id(v) for k, v in vars(obj).items()}
