@@ -158,6 +158,9 @@ def _cmd_make_expert(args) -> int:
 
 def _cmd_train_dt(args) -> int:
     trajectories = expert.load_trajectories(args.trajectories)
+    if not trajectories:
+        print(f"abrlab train-dt: no trajectories in {args.trajectories}", file=sys.stderr)
+        return 2
     obs_width = trajectories[0].observations.shape[1]
     n_actions = trajectories[0].actions.shape[1]
     max_t = max(int(t.timesteps.max()) for t in trajectories) + 1
@@ -201,7 +204,8 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         dt_hyper = dt.DtTrainConfig(steps=args.steps, seed=args.seed)
-    except dt.DtError as exc:
+        values = [int(v) for v in args.values.split(",")]
+    except ValueError as exc:  # a DtError, or a value that is not an integer
         print(f"abrlab sweep: {exc}", file=sys.stderr)
         return 2
     config = harness.load_run_config(args.config)
@@ -209,8 +213,8 @@ def _cmd_sweep(args) -> int:
     train = [traces.load_trace_file(p) for p in config.train_trace_paths]
     test = [traces.load_trace_file(p) for p in config.test_trace_paths]
     dt_spec = next((a for a in config.algorithms if a.name == "dt"), None)
-    if dt_spec is None:
-        print("sweep needs a 'dt' algorithm entry with an estimator checkpoint")
+    if dt_spec is None or "estimator" not in dt_spec.settings:
+        print("abrlab sweep: needs a 'dt' algorithm entry with an estimator checkpoint", file=sys.stderr)
         return 2
     estimator_model = est.load_estimator(dt_spec.settings["estimator"])
     obs_width = sim.obs_dim(len(manifest.ladder))
@@ -227,8 +231,11 @@ def _cmd_sweep(args) -> int:
         sim_config=config.sim_config,
         dp_config=config.dp_config,
     )
-    values = [int(v) for v in args.values.split(",")]
-    rows = harness.ablation_sweep(args.parameter, values, ctx)
+    try:  # a value the model or the estimator refuses, or a K longer than a trajectory
+        rows = harness.ablation_sweep(args.parameter, values, ctx)
+    except (dt.DtError, est.EstimatorError) as exc:
+        print(f"abrlab sweep: {exc}", file=sys.stderr)
+        return 2
     for row in rows:
         print(f"{row.parameter}={row.value}: mean QoE {row.mean_qoe:+.4f} +- {row.std_qoe:.4f}")
     out = Path(config.output_dir)

@@ -17,6 +17,7 @@ decisions; its last block computes only the tokens whose logits are read.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -311,7 +312,12 @@ def _loss_and_grads(
     rng: np.random.Generator | None,
     caches: dict | None = None,
 ) -> float:
-    """Cross-entropy over every timestep of the segment batch, with backward; ``caches`` as in ``_forward``."""
+    """Cross-entropy over every timestep of the segment batch, with backward; ``caches`` as in ``_forward``.
+
+    The backward runs the ``dx`` chain on the calling thread and every parameter-gradient
+    accumulation on one helper thread (the lane), in the order the layers hand them over.
+    The lane is joined before returning, so every ``Param.grad`` is complete and a lane
+    exception is raised here."""
     caches = {} if caches is None else caches
     cfg = model.config
     dtype = model.head.w.value.dtype
@@ -321,15 +327,23 @@ def _loss_and_grads(
     loss, dlogits = nn.cross_entropy(
         logits.reshape(B * K, cfg.action_count), a.reshape(B * K, cfg.action_count).astype(dtype)
     )
-    dx = model.head.backward(caches["head"], dlogits.reshape(B, K, cfg.action_count))
-    dx = model.ln_f.backward(caches["ln_f"], dx)
-    for i in reversed(range(len(model.blocks))):
-        dx = model.blocks[i].backward(caches[i], dx)
-    dr_tok, do_tok, da_tok = dx[:, 0::3], dx[:, 1::3], dx[:, 2::3]
-    model.embed_r.backward(cr, dr_tok)
-    model.embed_o.backward(co, do_tok)
-    model.embed_a.backward(ca, da_tok)
-    model.embed_t.backward(ct, dr_tok + do_tok + da_tok)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dt-grad-lane") as lane:
+        futures = []
+
+        def defer(grads) -> None:
+            futures.append(lane.submit(grads))
+
+        dx = model.head.backward(caches["head"], dlogits.reshape(B, K, cfg.action_count), defer)
+        dx = model.ln_f.backward(caches["ln_f"], dx, defer)
+        for i in reversed(range(len(model.blocks))):
+            dx = model.blocks[i].backward(caches[i], dx, defer)
+        dr_tok, do_tok, da_tok = dx[:, 0::3], dx[:, 1::3], dx[:, 2::3]
+        model.embed_r.backward(cr, dr_tok, defer)
+        model.embed_o.backward(co, do_tok, defer)
+        model.embed_a.backward(ca, da_tok, defer)
+        model.embed_t.backward(ct, dr_tok + do_tok + da_tok, defer)
+        for done in futures:
+            done.result()
     return loss
 
 

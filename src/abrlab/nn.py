@@ -7,8 +7,13 @@ AdamW with decoupled weight decay, cosine learning-rate decay, and a central
 finite-difference gradient checker.
 
 Layers hold parameters only: ``forward(...)`` returns ``(y, cache)`` and writes
-nothing to the layer, and ``backward(cache, dy)`` accumulates into each
-``Param.grad`` and returns ``dx``, so one model can serve concurrent forwards.
+nothing to the layer, and ``backward(cache, dy, defer=None)`` accumulates into
+each ``Param.grad`` and returns ``dx``, so one model can serve concurrent
+forwards.  Each parameter-gradient accumulation is a no-argument closure that
+runs at once, or is handed to ``defer`` when one is given: nothing downstream
+reads it, so a caller can run it on a helper thread beside the ``dx`` chain.
+Closures read only arrays that the backward pass no longer writes, so running
+them later, in submission order, adds the same numbers in the same order.
 
 Parameters are stored in float32 by default.  Losses and the bias and
 parameter-gradient sums over the batch accumulate in float64 before casting
@@ -55,6 +60,10 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], gain: float =
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+def _run_now(grads: Callable[[], None]) -> None:
+    grads()
+
+
 class Affine:
     """y = x W + b over the trailing axis; leading axes are batch."""
 
@@ -72,10 +81,14 @@ class Affine:
         # The output width is explicit, so zero rows (a decision with no past action) keep their shape.
         return (x2d @ self.w.value + self.b.value).reshape(*x.shape[:-1], self.b.value.shape[0]), x2d
 
-    def backward(self, x2d: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    def backward(self, x2d: np.ndarray, dy: np.ndarray, defer: Callable | None = None) -> np.ndarray:
         dy2d = dy.reshape(-1, dy.shape[-1])
-        self.w.grad += x2d.T @ dy2d
-        self.b.grad += dy2d.sum(axis=0, dtype=np.float64).astype(self.b.value.dtype)
+
+        def grads() -> None:
+            self.w.grad += x2d.T @ dy2d
+            self.b.grad += dy2d.sum(axis=0, dtype=np.float64).astype(self.b.value.dtype)
+
+        (defer or _run_now)(grads)
         return (dy2d @ self.w.value.T).reshape(*dy.shape[:-1], -1)
 
     def params(self) -> list[Param]:
@@ -111,11 +124,15 @@ class LayerNorm:
         xhat = xc * inv_std
         return xhat * self.g.value + self.b.value, (xhat, inv_std)
 
-    def backward(self, cache: tuple, dy: np.ndarray) -> np.ndarray:
+    def backward(self, cache: tuple, dy: np.ndarray, defer: Callable | None = None) -> np.ndarray:
         xhat, inv_std = cache
+
+        def grads() -> None:
+            self.g.grad += (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0, dtype=np.float64).astype(self.g.value.dtype)
+            self.b.grad += dy.reshape(-1, dy.shape[-1]).sum(axis=0, dtype=np.float64).astype(self.b.value.dtype)
+
+        (defer or _run_now)(grads)
         dxhat = dy * self.g.value
-        self.g.grad += (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0, dtype=np.float64).astype(self.g.value.dtype)
-        self.b.grad += dy.reshape(-1, dy.shape[-1]).sum(axis=0, dtype=np.float64).astype(self.b.value.dtype)
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         return inv_std * (dxhat - m1 - xhat * m2)
@@ -137,8 +154,8 @@ class Embedding:
             raise NnError("embedding index out of range")
         return self.table.value[idx], idx
 
-    def backward(self, idx: np.ndarray, dy: np.ndarray) -> None:
-        np.add.at(self.table.grad, idx.reshape(-1), dy.reshape(-1, dy.shape[-1]))
+    def backward(self, idx: np.ndarray, dy: np.ndarray, defer: Callable | None = None) -> None:
+        (defer or _run_now)(lambda: np.add.at(self.table.grad, idx.reshape(-1), dy.reshape(-1, dy.shape[-1])))
 
     def params(self) -> list[Param]:
         return [self.table]
@@ -222,11 +239,11 @@ class CausalSelfAttention:
         out, co = self.wo.forward(self._merge(att_kept @ v))
         return out, (q, k, v, att, att_kept, drop_mask, cq, ck, cv, co, rows)
 
-    def backward(self, cache: tuple, dy: np.ndarray) -> np.ndarray:
+    def backward(self, cache: tuple, dy: np.ndarray, defer: Callable | None = None) -> np.ndarray:
         """Gradient for every token of ``x``; the query path's lands at the forward's ``rows``."""
         q, k, v, att, att_kept, drop_mask, cq, ck, cv, co, rows = cache
         scale = 1.0 / math.sqrt(self.head_dim)
-        dmerged = self._split(self.wo.backward(co, dy))
+        dmerged = self._split(self.wo.backward(co, dy, defer))
         datt_kept = dmerged @ v.transpose(0, 1, 3, 2)
         dv = att_kept.transpose(0, 1, 3, 2) @ dmerged
         datt = self.attn_drop.backward(drop_mask, datt_kept)
@@ -235,10 +252,10 @@ class CausalSelfAttention:
         dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
         dq = (dscores @ k) * scale
         dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
-        dxq = self.wq.backward(cq, self._merge(dq))
-        dx = self.wk.backward(ck, self._merge(dk))
+        dxq = self.wq.backward(cq, self._merge(dq), defer)
+        dx = self.wk.backward(ck, self._merge(dk), defer)
         dx[:, rows] += dxq
-        return dx + self.wv.backward(cv, self._merge(dv))
+        return dx + self.wv.backward(cv, self._merge(dv), defer)
 
     def params(self) -> list[Param]:
         return self.wq.params() + self.wk.params() + self.wv.params() + self.wo.params()
@@ -277,13 +294,13 @@ class TransformerBlock:
         m, c_drop2 = self.drop2.forward(h, train, rng, rows, t)
         return x + m, (c_ln1, c_attn, c_drop1, c_ln2, c_fc1, c_act, c_fc2, c_drop2, rows)
 
-    def backward(self, cache: tuple, dy: np.ndarray) -> np.ndarray:
+    def backward(self, cache: tuple, dy: np.ndarray, defer: Callable | None = None) -> np.ndarray:
         c_ln1, c_attn, c_drop1, c_ln2, c_fc1, c_act, c_fc2, c_drop2, rows = cache
         dm = self.drop2.backward(c_drop2, dy)
-        dh = self.fc1.backward(c_fc1, self.act.backward(c_act, self.fc2.backward(c_fc2, dm)))
-        dx_rows = dy + self.ln2.backward(c_ln2, dh)
+        dh = self.fc1.backward(c_fc1, self.act.backward(c_act, self.fc2.backward(c_fc2, dm, defer)), defer)
+        dx_rows = dy + self.ln2.backward(c_ln2, dh, defer)
         da = self.drop1.backward(c_drop1, dx_rows)
-        dx = self.ln1.backward(c_ln1, self.attn.backward(c_attn, da))
+        dx = self.ln1.backward(c_ln1, self.attn.backward(c_attn, da, defer), defer)
         dx[:, rows] += dx_rows
         return dx
 

@@ -47,6 +47,13 @@ class DecisionBundle:
         K = self.model.config.context_len
         if not 1 <= self.stats_window <= K:
             raise ValueError(f"stats_window {self.stats_window} must be in [1, context_len={K}]")
+        # Requests carry one chunk size per ladder level, and answers pick a level of the ladder.
+        levels, sizes = self.model.config.action_count, self.model.config.obs_dim - 4
+        if not len(self.ladder_kbps) == sizes == levels:
+            raise ValueError(
+                f"ladder of {len(self.ladder_kbps)} levels does not fit the model: "
+                f"{levels} actions, {sizes} chunk sizes per observation"
+            )
 
 
 def _number(value, name: str, minimum: float | None = None) -> float:

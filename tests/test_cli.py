@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from abrlab import cli, expert, qoe, traces
+from abrlab import cli, estimator as est, expert, qoe, traces
 
 
 def run(argv) -> int:
@@ -133,13 +133,18 @@ def test_cli_sweep(tmp_path, capsys):
     (["--batch", "0"], "batch_size must be >= 1"),
     (["--context-len", "0"], "context_len must be >= 1"),
     (["--context-len", "7"], "shorter than context_len 7"),
+    ("empty", "no trajectories in"),
+    ("blank", "no trajectories in"),
 ])
 def test_train_dt_refuses_bad_settings(tmp_path, capsys, args, reason):
-    """A refused setting exits with status 2 and its reason, and writes no checkpoint."""
+    """A refused setting or file exits with status 2 and its reason, and writes no checkpoint."""
     rng = np.random.default_rng(0)
     traj = expert.Trajectory("t", np.arange(6), rng.random((6, 10)), rng.random(6), np.eye(6)[rng.integers(0, 6, 6)])
     traj_path, dt_path = tmp_path / "expert.jsonl", tmp_path / "dt.npz"
     expert.save_trajectories([traj], traj_path)
+    if isinstance(args, str):  # a trajectory file with no trajectory in it
+        traj_path.write_text({"empty": "", "blank": "\n  \n\n"}[args], encoding="utf-8")
+        args = []
     assert run(["train-dt", "--trajectories", str(traj_path), "--out", str(dt_path), "--steps", "1"] + args) == 2
     assert reason in capsys.readouterr().err
     assert not dt_path.exists()
@@ -149,3 +154,39 @@ def test_sweep_refuses_nonpositive_steps(tmp_path, capsys):
     argv = ["sweep", "--config", str(tmp_path / "run.json"), "--parameter", "K", "--values", "1", "--steps", "0"]
     assert run(argv) == 2
     assert "steps must be >= 1" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def sweep_lab(tmp_path_factory):
+    """Six-chunk manifest, five short traces and an untrained estimator checkpoint."""
+    out = tmp_path_factory.mktemp("sweep_lab")
+    qoe.save_manifest(qoe.make_manifest(chunk_count=6), out / "manifest.json")
+    assert run(["gen-traces", "--out", str(out / "traces"), "--count", "5", "--duration", "100", "--seed", "4"]) == 0
+    est.save_estimator(est.EstimatorModel(hidden=8, seed=0), out / "estimator.npz")
+    return out
+
+
+@pytest.mark.parametrize("algorithms, parameter, values, reason", [
+    ([{"name": "dt", "estimator": "estimator.npz"}], "K", "0", "context_len must be >= 1"),
+    ([{"name": "dt", "estimator": "estimator.npz"}], "L", "0", "window must be >= 1"),
+    ([{"name": "dt", "estimator": "estimator.npz"}], "K", "7", "shorter than context_len 7"),
+    ([{"name": "dt", "estimator": "estimator.npz"}], "K", "1,x", "invalid literal for int()"),
+    ([{"name": "dt"}], "K", "1", "needs a 'dt' algorithm entry with an estimator checkpoint"),
+    ([{"name": "bb"}], "K", "1", "needs a 'dt' algorithm entry with an estimator checkpoint"),
+])
+def test_sweep_refuses_bad_input(sweep_lab, tmp_path, capsys, algorithms, parameter, values, reason):
+    """A refused sweep exits with status 2, its reason on stderr, and writes no table."""
+    cfg = {
+        "manifest": str(sweep_lab / "manifest.json"),
+        "corpus_index": str(sweep_lab / "traces" / "corpus.json"),
+        "algorithms": [dict(a, estimator=str(sweep_lab / a["estimator"])) if "estimator" in a else a for a in algorithms],
+        "seed": 4,
+        "output_dir": str(tmp_path / "sweep"),
+    }
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    argv = ["sweep", "--config", str(tmp_path / "run.json"), "--parameter", parameter, "--values", values,
+            "--steps", "2", "--seed", "4"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert reason in captured.err and reason not in captured.out
+    assert not (tmp_path / "sweep").exists()

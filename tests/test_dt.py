@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -177,6 +179,50 @@ def test_fixed_batch_descent():
     model, history = train_dt(trajs, TINY, DtTrainConfig(steps=50, batch_size=8, seed=1))
     assert history.losses[-1] < history.losses[0]
     assert history.losses[49] < 0.9 * history.losses[0]
+
+
+def inline_loss_and_grads(model, t, o, r, a, rng):
+    """``dt._loss_and_grads`` written out layer by layer, every gradient accumulated inline (defer=None)."""
+    B, K = t.shape
+    n_act = model.config.action_count
+    caches: dict = {}
+    tokens, (ct, cr, co, ca) = dt.embed_tokens(model, t, o, r, a)
+    logits = dt._forward(model, tokens, True, rng, caches)
+    loss, dlogits = nn.cross_entropy(logits.reshape(B * K, n_act), a.reshape(B * K, n_act).astype(np.float32))
+    dx = model.ln_f.backward(caches["ln_f"], model.head.backward(caches["head"], dlogits.reshape(B, K, n_act)))
+    for i in reversed(range(len(model.blocks))):
+        dx = model.blocks[i].backward(caches[i], dx)
+    dr_tok, do_tok, da_tok = dx[:, 0::3], dx[:, 1::3], dx[:, 2::3]
+    model.embed_r.backward(cr, dr_tok)
+    model.embed_o.backward(co, do_tok)
+    model.embed_a.backward(ca, da_tok)
+    model.embed_t.backward(ct, dr_tok + do_tok + da_tok)
+    return loss
+
+
+def test_lane_backward_matches_inline_bit_for_bit():
+    config = dataclasses.replace(TINY, blocks=2, heads=2, dropout=0.1)
+    trajs = [random_trajectory(12, seed=40 + i) for i in range(3)]
+    index = dt._segment_arrays(trajs, config.context_len)
+    t, o, r, a = dt._gather_batch(trajs, index, np.random.default_rng(4).integers(0, len(index), 16), config.context_len)
+    lane_model = DtModel(config, seed=6)
+    inline_model = copy.deepcopy(lane_model)
+    lane_loss = dt._loss_and_grads(lane_model, t, o, r, a, train=True, rng=np.random.default_rng(8))
+    assert lane_loss == inline_loss_and_grads(inline_model, t, o, r, a, np.random.default_rng(8))
+    for p, q in zip(lane_model.params(), inline_model.params()):
+        assert np.any(p.grad != 0.0), p.name
+        assert np.array_equal(p.grad, q.grad), p.name
+
+
+def test_lane_exception_propagates_and_leaves_no_thread():
+    trajs = [random_trajectory(8, seed=1)]
+    t, o, r, a = dt._gather_batch(trajs, dt._segment_arrays(trajs, 4), [0, 1, 2], 4)
+    model = DtModel(TINY, seed=0)
+    model.head.w.grad.flags.writeable = False  # the head's weight-gradient closure raises on the lane
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="read-only"):
+        dt._loss_and_grads(model, t, o, r, a, train=False, rng=None)
+    assert threading.active_count() == threads
 
 
 def test_overfit_single_trajectory():

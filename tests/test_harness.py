@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import http.client
 import json
 import math
@@ -407,6 +408,15 @@ def test_serve_refuses_mismatched_checkpoint(service_bundle, tmp_path, capsys, m
     np.savez(tmp_path / "dt.npz", **arrays)  # no __meta__ header
     assert cli.main(argv) == 2
     assert "__meta__" in capsys.readouterr().err
+
+    # A 4-level model saved without a ladder (as train-dt saves it) would get the default 6-level one.
+    four = dt.DtModel(dataclasses.replace(service_bundle.model.config, action_count=4, obs_dim=8), seed=0)
+    dt.save_dt(four, tmp_path / "dt.npz")
+    assert cli.main(argv) == 2
+    assert "ladder of 6 levels does not fit the model: 4 actions, 4 chunk sizes" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="does not fit the model: 6 actions, 4 chunk sizes"):
+        odd = dataclasses.replace(service_bundle.model.config, obs_dim=8)
+        service.DecisionBundle(dt.DtModel(odd, seed=0), service_bundle.estimator_model, service_bundle.ladder_kbps)
 
 
 def random_request(rng, max_timestep=48, K=4):

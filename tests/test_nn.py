@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -242,6 +245,38 @@ def test_trimmed_block_gradients(rows):
         return float((out * proj).sum())
 
     assert grad_check(fn, block.params() + [x]) < 1e-6
+
+
+def test_block_backward_on_a_lane_matches_inline_bit_for_bit():
+    """Parameter gradients deferred to a helper thread equal the inline ones exactly, as does dx."""
+    rows = slice(1, None, 3)
+    rng = np.random.default_rng(13)
+    block = TransformerBlock(8, 2, rng, dropout=0.1, mlp_ratio=2)
+    x = rng.normal(size=(3, 12, 8)).astype(np.float32)
+    out, cache = block.forward(x, True, np.random.default_rng(21), rows=rows)
+    dy = rng.normal(size=out.shape).astype(np.float32)
+    dx_inline = block.backward(cache, dy)
+    inline = [p.grad.copy() for p in block.params()]
+    for p in block.params():
+        p.grad[...] = 0.0
+    out_again, cache = block.forward(x, True, np.random.default_rng(21), rows=rows)
+    assert np.array_equal(out_again, out)
+    lane_threads = set()
+
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        pending = []
+
+        def on_lane(grads):
+            lane_threads.add(threading.get_ident())
+            grads()
+
+        dx_lane = block.backward(cache, dy, lambda grads: pending.append(lane.submit(on_lane, grads)))
+        for done in pending:
+            done.result()
+    assert len(pending) == len(block.params()) // 2 and threading.get_ident() not in lane_threads
+    assert np.array_equal(dx_lane, dx_inline)
+    for p, g in zip(block.params(), inline):
+        assert np.array_equal(p.grad, g), p.name
 
 
 def test_layernorm_float32_matches_float64():
