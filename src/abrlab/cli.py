@@ -1,4 +1,8 @@
-"""Command-line entry points for the streaming laboratory."""
+"""Command-line entry points for the streaming laboratory.
+
+A command refused for its input (a missing or unreadable file, a setting or
+artifact the lab rejects) exits with status 2 and one line on stderr.
+"""
 
 from __future__ import annotations
 
@@ -81,7 +85,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # every lab error and json.JSONDecodeError subclass ValueError
+        print(f"abrlab {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_gen_traces(args) -> int:
@@ -141,9 +149,7 @@ def _cmd_make_expert(args) -> int:
     start = time.perf_counter()
     sessions = [expert.plan_session(manifest, trace, qoe.QoeParams(), dp_cfg) for trace in corpus]
     plan_s = time.perf_counter() - start
-    trajectories = [
-        expert.trajectory_from_log(log, plan, estimator_model, args.stats_window) for plan, log in sessions
-    ]
+    trajectories = [expert.trajectory_from_log(log, estimator_model, args.stats_window) for _, log in sessions]
     expert.save_trajectories(trajectories, args.out)
     print(f"wrote {len(trajectories)} trajectories to {args.out}")
     # Planner throughput and frontier go to stdout only, never into the trajectory file.
@@ -159,21 +165,14 @@ def _cmd_make_expert(args) -> int:
 def _cmd_train_dt(args) -> int:
     trajectories = expert.load_trajectories(args.trajectories)
     if not trajectories:
-        print(f"abrlab train-dt: no trajectories in {args.trajectories}", file=sys.stderr)
-        return 2
+        raise dt.DtError(f"no trajectories in {args.trajectories}")
     obs_width = trajectories[0].observations.shape[1]
     n_actions = trajectories[0].actions.shape[1]
     max_t = max(int(t.timesteps.max()) for t in trajectories) + 1
     start = time.perf_counter()
-    try:  # refuse bad settings before any checkpoint is written
-        config = dt.DtConfig(
-            context_len=args.context_len, action_count=n_actions, obs_dim=obs_width, max_timestep=max_t
-        )
-        hyper = dt.DtTrainConfig(steps=args.steps, batch_size=args.batch, seed=args.seed)
-        model, history = dt.train_dt(trajectories, config, hyper)
-    except dt.DtError as exc:
-        print(f"abrlab train-dt: {exc}", file=sys.stderr)
-        return 2
+    config = dt.DtConfig(context_len=args.context_len, action_count=n_actions, obs_dim=obs_width, max_timestep=max_t)
+    hyper = dt.DtTrainConfig(steps=args.steps, batch_size=args.batch, seed=args.seed)
+    model, history = dt.train_dt(trajectories, config, hyper)
     train_s = time.perf_counter() - start
     dt.save_dt(model, args.out)
     # Training throughput goes to stdout only; tokens count batch x 3K per step.
@@ -202,20 +201,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        dt_hyper = dt.DtTrainConfig(steps=args.steps, seed=args.seed)
-        values = [int(v) for v in args.values.split(",")]
-    except ValueError as exc:  # a DtError, or a value that is not an integer
-        print(f"abrlab sweep: {exc}", file=sys.stderr)
-        return 2
+    dt_hyper = dt.DtTrainConfig(steps=args.steps, seed=args.seed)
+    values = [int(v) for v in args.values.split(",")]
     config = harness.load_run_config(args.config)
     manifest = qoe.load_manifest(config.manifest_path)
     train = [traces.load_trace_file(p) for p in config.train_trace_paths]
     test = [traces.load_trace_file(p) for p in config.test_trace_paths]
     dt_spec = next((a for a in config.algorithms if a.name == "dt"), None)
     if dt_spec is None or "estimator" not in dt_spec.settings:
-        print("abrlab sweep: needs a 'dt' algorithm entry with an estimator checkpoint", file=sys.stderr)
-        return 2
+        raise harness.HarnessError("needs a 'dt' algorithm entry with an estimator checkpoint")
     estimator_model = est.load_estimator(dt_spec.settings["estimator"])
     obs_width = sim.obs_dim(len(manifest.ladder))
     ctx = harness.SweepContext(
@@ -231,11 +225,7 @@ def _cmd_sweep(args) -> int:
         sim_config=config.sim_config,
         dp_config=config.dp_config,
     )
-    try:  # a value the model or the estimator refuses, or a K longer than a trajectory
-        rows = harness.ablation_sweep(args.parameter, values, ctx)
-    except (dt.DtError, est.EstimatorError) as exc:
-        print(f"abrlab sweep: {exc}", file=sys.stderr)
-        return 2
+    rows = harness.ablation_sweep(args.parameter, values, ctx)
     for row in rows:
         print(f"{row.parameter}={row.value}: mean QoE {row.mean_qoe:+.4f} +- {row.std_qoe:.4f}")
     out = Path(config.output_dir)
@@ -249,14 +239,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    try:
-        arrays, meta = nn.load_checkpoint(args.dt)
-        model, estimator_model = dt.from_checkpoint(arrays, meta), est.load_estimator(args.estimator)
-        ladder = tuple(float(r) for r in meta.get("ladder_kbps", qoe.DEFAULT_LADDER_KBPS))
-        bundle = service.DecisionBundle(model, estimator_model, ladder, args.stats_window, args.manifest_ref)
-    except ValueError as exc:  # a mismatched checkpoint, or a stats window the model's context cannot hold
-        print(f"abrlab serve: {exc}", file=sys.stderr)
-        return 2
+    arrays, meta = nn.load_checkpoint(args.dt)
+    model, estimator_model = dt.from_checkpoint(arrays, meta), est.load_estimator(args.estimator)
+    ladder = tuple(float(r) for r in meta.get("ladder_kbps", qoe.DEFAULT_LADDER_KBPS))
+    bundle = service.DecisionBundle(model, estimator_model, ladder, args.stats_window, args.manifest_ref)
     service.serve_decisions(bundle, args.host, args.port)
     return 0
 

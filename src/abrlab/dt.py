@@ -27,7 +27,7 @@ import numpy as np
 from . import nn
 from . import estimator as est
 from .expert import Trajectory
-from .sim import Observation, SessionState, throughput_history
+from .sim import Observation, SessionState
 
 
 class DtError(ValueError):
@@ -435,10 +435,10 @@ class DtPolicy:
 
     ``decide_batch`` serves every session of a lock-step run at once: it
     keeps one ``TrajectoryWindow`` of all sessions and their last levels, runs
-    the estimator once on a (B, 4) feature matrix and ``decide`` once.  A
-    plain call is the one-session case.  The session's measured-throughput
-    history (``state.measured_mbps``) feeds the estimator through the same
-    window statistics used when building expert trajectories.
+    ``est.qoe_to_go`` once on all sessions and ``decide`` once.  A plain call
+    is the one-session case.  The session's measured-throughput history
+    (``state.measured_mbps``) feeds the same estimate that expert
+    trajectories carry as their returns.
     """
 
     def __init__(
@@ -461,11 +461,13 @@ class DtPolicy:
 
     def decide_batch(self, states: Sequence[SessionState], observations: Sequence[Observation]) -> list[int]:
         """Levels for sessions in lock step: one more timestep in every window."""
-        stats = est.throughput_stats([throughput_history(s.measured_mbps) for s in states], self.stats_window)
-        feats = est.features(
-            stats, np.array([o.buffer_s for o in observations]), np.array([o.remaining_frac for o in observations])
+        r_hat = est.qoe_to_go(
+            self.estimator_model,
+            [s.measured_mbps for s in states],
+            [o.buffer_s for o in observations],
+            [o.remaining_frac for o in observations],
+            self.stats_window,
         )
-        r_hat = est.estimate_batch(self.estimator_model, feats)
         obs = np.stack([o.vector() for o in observations])
         if self._window is None:
             steps = [s.next_chunk for s in states]

@@ -6,7 +6,9 @@ the scaled maximum achievable QoE over the remaining chunks.  Training
 labels come from the offline-optimal planner run over stationary synthetic
 traces, whose generating (mean, stddev) pair doubles as the network-condition
 feature; at streaming time the same features are computed from a short
-window of measured per-chunk throughput.
+window of measured per-chunk throughput.  ``qoe_to_go`` is that streaming
+estimate, the one composition of window statistics, features and network
+that expert trajectories, the lock-step policy and the service all use.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import nn
 from .qoe import QoeParams, VideoManifest
-from .sim import STARTUP_THROUGHPUT_MBPS, SimConfig
+from .sim import STARTUP_THROUGHPUT_MBPS, SimConfig, throughput_history
 from .traces import SyntheticSpec, gen_synthetic_trace
 
 # Feature normalization constants: mean/6 Mbps, stddev/3, buffer/60 s map the
@@ -105,7 +107,7 @@ class EstimatorModel:
 
 
 def estimate(model: EstimatorModel, feats: np.ndarray) -> float:
-    """Scalar QoE-to-go estimate, clamped below at zero."""
+    """QoE-to-go estimate of one (4,) feature vector: the B = 1 case of ``estimate_batch``."""
     return float(estimate_batch(model, np.reshape(feats, (1, 4)))[0])
 
 
@@ -115,6 +117,19 @@ def estimate_batch(model: EstimatorModel, feats: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise EstimatorError("estimator produced a non-finite value")
     return np.where(out < 0.0, 0.0, out)
+
+
+def qoe_to_go(model: EstimatorModel, measured, buffer_s, remaining_frac, window: int) -> np.ndarray:
+    """Streaming QoE-to-go estimates of B sessions, each clamped below at zero: (B,).
+
+    ``measured`` holds B equally long measured-throughput histories, oldest
+    first; an empty one stands for the startup value (``sim.throughput_history``).
+    ``buffer_s`` and ``remaining_frac`` are (B,) decision-time values.  A row
+    of a B > 1 call may differ from its own B = 1 call in the last bits, since
+    the BLAS kernel of the float32 network depends on the row count.
+    """
+    stats = throughput_stats([throughput_history(m) for m in measured], window)
+    return estimate_batch(model, features(stats, np.asarray(buffer_s), np.asarray(remaining_frac)))
 
 
 @dataclass

@@ -12,9 +12,11 @@ re-quantized after every transition, so the search is exact whenever the
 true values land on quantization points and otherwise accurate to a bound
 that scales with the quanta.
 
-Expert trajectories pair each decision-time observation along the optimal
-path with the estimator's QoE-to-go output and the optimal action as a
-one-hot distribution; they are the training unit for the sequence model.
+``PlanFollower`` is the one plan replay: ``plan_session`` and the
+evaluation's dp row both drive the simulator with it.  Expert trajectories
+pair each decision-time observation of a replayed plan with the estimator's
+QoE-to-go output and the replayed action as a one-hot distribution; they are
+the training unit for the sequence model.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .qoe import QoeParams, VideoManifest, quality
-from .sim import BandwidthProfile, SessionLog, SessionState, SimConfig, run_policy
-from .sim import throughput_history, transition
+from .sim import BandwidthProfile, SessionLog, SessionState, SimConfig, run_sessions, transition
 from .traces import NetworkTrace
 from . import estimator as est
 
@@ -274,6 +275,16 @@ class Trajectory:
         return len(self.timesteps)
 
 
+@dataclass(frozen=True)
+class PlanFollower:
+    """Replays one fixed action plan per session of a lock-step ``sim.run_sessions`` run."""
+
+    plans: tuple[Sequence[int], ...]
+
+    def decide_batch(self, states: Sequence[SessionState], observations) -> list[int]:
+        return [plan[s.next_chunk] for plan, s in zip(self.plans, states)]
+
+
 def plan_session(
     manifest: VideoManifest,
     trace: NetworkTrace,
@@ -283,38 +294,31 @@ def plan_session(
 ) -> tuple[Plan, SessionLog]:
     """Plan once from the session start, then replay the plan in the simulator."""
     plan = dp_plan(manifest, trace, params, None, dp_config, sim_config)
-    actions = plan.actions
-
-    def follow(state: SessionState, obs) -> int:
-        return actions[state.next_chunk]
-
-    log = run_policy(follow, manifest, trace, sim_config, params)
+    log = run_sessions(PlanFollower((plan.actions,)), manifest, [trace], sim_config, params)[0]
     return plan, log
 
 
 def trajectory_from_log(
     log: SessionLog,
-    plan: Plan,
     estimator_model: "est.EstimatorModel",
     stats_window: int = 4,
 ) -> Trajectory:
-    """Assemble the 3-modality expert sequence for one planned session.
+    """Assemble the 3-modality expert sequence of one replayed plan.
 
-    The return modality is the estimator's output on measured window
-    statistics (the startup value before any measurement), not the planner's
-    ground truth.
+    The actions are the levels the log chose.  The return modality is
+    ``est.qoe_to_go`` on the throughput measured before each chunk, not the
+    planner's ground truth; one B = 1 call per chunk keeps each value equal
+    to the one the service computes for the same window.
     """
     T = len(log.records)
     obs_mat = np.stack([o.vector() for o in log.observations])
     returns = np.empty(T)
     measured = log.final_state.measured_mbps
-    for t in range(T):
-        stats = est.throughput_stats(throughput_history(measured[:t]), window=stats_window)
-        feats = est.features(stats, log.observations[t].buffer_s, log.observations[t].remaining_frac)
-        returns[t] = est.estimate(estimator_model, feats)
+    for t, o in enumerate(log.observations):
+        returns[t] = est.qoe_to_go(estimator_model, [measured[:t]], [o.buffer_s], [o.remaining_frac], stats_window)[0]
     n_lv = log.observations[0].next_chunk_sizes_bytes.shape[0]
     actions = np.zeros((T, n_lv))
-    actions[np.arange(T), plan.actions] = 1.0
+    actions[np.arange(T), [r.chosen_level for r in log.records]] = 1.0
     return Trajectory(
         trace_tag=log.trace_tag,
         timesteps=np.arange(T, dtype=np.int64),
@@ -335,8 +339,8 @@ def build_expert_trajectories(
 ) -> list[Trajectory]:
     out = []
     for trace in traces:
-        plan, log = plan_session(manifest, trace, params, dp_config, sim_config)
-        out.append(trajectory_from_log(log, plan, estimator_model, stats_window))
+        _, log = plan_session(manifest, trace, params, dp_config, sim_config)
+        out.append(trajectory_from_log(log, estimator_model, stats_window))
     return out
 
 

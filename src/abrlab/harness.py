@@ -53,6 +53,10 @@ class RunConfig:
 
 def load_run_config(path: str | Path) -> RunConfig:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if "manifest" not in doc:
+        raise HarnessError(f"run config {path} has no 'manifest' key")
+    if any("name" not in a for a in doc.get("algorithms", [])):
+        raise HarnessError(f"run config {path} has an algorithm without a 'name' key")
     trace_doc = doc.get("traces", {})
     if "corpus_index" in doc:
         index = traces.load_corpus_index(doc["corpus_index"])
@@ -147,16 +151,6 @@ def summarize_session(
 PolicyFactory = Callable[[Sequence[traces.NetworkTrace]], object]
 
 
-@dataclass(frozen=True)
-class PlanFollower:
-    """Replays one fixed action plan per session of a lock-step corpus run."""
-
-    plans: tuple[Sequence[int], ...]
-
-    def decide_batch(self, states: Sequence[sim.SessionState], observations) -> list[int]:
-        return [plan[s.next_chunk] for plan, s in zip(self.plans, states)]
-
-
 def make_policy_factory(
     spec: AlgorithmSpec,
     manifest: qoe.VideoManifest,
@@ -185,7 +179,7 @@ def make_policy_factory(
         return lambda corpus: dt.DtPolicy(model, estimator_model, window)
     if name == "dp":
         cfg = replace(dp_config, **_pick(settings, "buffer_quantum_s", "time_quantum_s", "dominance_prune"))
-        return lambda corpus: PlanFollower(
+        return lambda corpus: expert.PlanFollower(
             tuple(expert.dp_plan(manifest, trace, params, None, cfg, sim_config).actions for trace in corpus)
         )
     raise HarnessError(f"unknown algorithm {name!r}")
@@ -320,8 +314,7 @@ class SweepContext:
     def trajectories(self, stats_window: int) -> list[expert.Trajectory]:
         if stats_window not in self._trajectories:
             self._trajectories[stats_window] = [
-                expert.trajectory_from_log(log, plan, self.estimator_model, stats_window)
-                for plan, log in self.plans()
+                expert.trajectory_from_log(log, self.estimator_model, stats_window) for _, log in self.plans()
             ]
         return self._trajectories[stats_window]
 
@@ -389,9 +382,6 @@ class PipelineConfig:
     segment_s: tuple[float, float] = (12.0, 35.0)
     mu_range: tuple[float, float] = (0.4, 3.0)
     sigma_rel_range: tuple[float, float] = (0.15, 0.4)
-    # 0 draws each segment mean independently; > 0 makes the mean follow a
-    # bounded log-space random walk (bandwidth trends instead of jumps).
-    walk_scale: float = 0.0
     stats_window: int = 4
     dt_steps: int = 1500
     dt_batch: int = 128
@@ -422,10 +412,7 @@ def make_switching_corpus(
                     seed=int(rng.integers(0, 2**31)),
                 )
             )
-            if config.walk_scale > 0:
-                mu = float(np.clip(mu * np.exp(rng.normal(0.0, config.walk_scale)), lo, hi))
-            else:
-                mu = float(rng.uniform(lo, hi))
+            mu = float(rng.uniform(lo, hi))
             remaining -= seg_len
         out.append(traces.gen_switching_trace(segs, source_tag=f"{tag_prefix}{i:03d}"))
     return out

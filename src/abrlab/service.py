@@ -17,7 +17,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from . import dt, estimator as est
-from .sim import Observation, throughput_history
+from .sim import Observation
 
 OBS_FIELDS = ("buffer_s", "throughput_mbps", "download_s", "next_chunk_sizes_bytes", "remaining_frac")
 # A decision window is a few KB; larger bodies are refused unread with 413.
@@ -141,10 +141,11 @@ def handle_decide(bundle: DecisionBundle, payload: dict) -> tuple[int, dict]:
         # The timestep-0 observation carries a placeholder throughput, not a
         # measurement, so it is excluded from the window statistics.
         measured = [o.throughput_mbps for o, t in zip(obs, timesteps) if t > 0]
-        stats = est.throughput_stats(throughput_history(measured), window=bundle.stats_window)
         newest = obs[-1]
-        r_hat = est.estimate(
-            bundle.estimator_model, est.features(stats, newest.buffer_s, newest.remaining_frac)
+        r_hat = float(
+            est.qoe_to_go(
+                bundle.estimator_model, [measured], [newest.buffer_s], [newest.remaining_frac], bundle.stats_window
+            )[0]
         )
         window = dt.TrajectoryWindow(
             K, [timesteps], [[o.vector() for o in obs]], [past_returns + [r_hat]], [actions]

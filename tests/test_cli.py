@@ -190,3 +190,52 @@ def test_sweep_refuses_bad_input(sweep_lab, tmp_path, capsys, algorithms, parame
     captured = capsys.readouterr()
     assert reason in captured.err and reason not in captured.out
     assert not (tmp_path / "sweep").exists()
+
+
+def _run_config(tmp_path, doc) -> str:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(doc, output_dir=str(tmp_path / "out"))))
+    return str(path)
+
+
+# Each case: the argv of a refused command given the lab and a scratch directory,
+# and the path its refusal must name.  Outputs would go to tmp_path / "out".
+REFUSALS = {
+    "train-estimator": lambda lab, tmp: (
+        ["train-estimator", "--manifest", str(tmp / "none.json"), "--out", str(tmp / "out")], tmp / "none.json"),
+    "make-expert": lambda lab, tmp: (
+        ["make-expert", "--manifest", str(lab / "manifest.json"), "--estimator", str(tmp / "none.npz"),
+         "--traces", str(lab / "traces" / "corpus.json"), "--out", str(tmp / "out")], tmp / "none.npz"),
+    "train-dt": lambda lab, tmp: (
+        ["train-dt", "--trajectories", str(tmp / "none.jsonl"), "--out", str(tmp / "out")], tmp / "none.jsonl"),
+    "eval-config": lambda lab, tmp: (["eval", "--config", str(tmp / "none.json")], tmp / "none.json"),
+    "eval-manifest": lambda lab, tmp: (
+        ["eval", "--config", _run_config(tmp, {"manifest": str(tmp / "none.json"), "algorithms": [{"name": "bb"}],
+                                               "corpus_index": str(lab / "traces" / "corpus.json")})],
+        tmp / "none.json"),
+    "eval-no-manifest-key": lambda lab, tmp: (
+        ["eval", "--config", _run_config(tmp, {"algorithms": [{"name": "bb"}]})], tmp / "run.json"),
+    "eval-no-name-key": lambda lab, tmp: (
+        ["eval", "--config", _run_config(tmp, {"manifest": str(lab / "manifest.json"), "algorithms": [{}]})],
+        tmp / "run.json"),
+    "sweep": lambda lab, tmp: (
+        ["sweep", "--config", _run_config(tmp, {"manifest": str(lab / "manifest.json"),
+                                                "corpus_index": str(lab / "traces" / "corpus.json"),
+                                                "algorithms": [{"name": "dt", "estimator": str(tmp / "none.npz")}]}),
+         "--parameter", "K", "--values", "1", "--steps", "2"], tmp / "none.npz"),
+    "serve": lambda lab, tmp: (
+        ["serve", "--dt", str(tmp / "none.npz"), "--estimator", str(lab / "estimator.npz"), "--port", "0"],
+        tmp / "none.npz"),
+    "report": lambda lab, tmp: (
+        ["report", "--report", str(tmp / "none.json"), "--out", str(tmp / "out")], tmp / "none.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_cli_refuses_missing_input(sweep_lab, tmp_path, capsys, case):
+    """A missing input file or run-config key exits with status 2, names the file on stderr, and writes nothing."""
+    argv, named = REFUSALS[case](sweep_lab, tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"abrlab {argv[0]}: ") and str(named) in captured.err
+    assert not (tmp_path / "out").exists()

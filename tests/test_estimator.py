@@ -122,6 +122,33 @@ def test_estimate_clamps_and_is_pure():
     assert estimate(model, feats) == estimate(model, feats) == pytest.approx(0.7, abs=1e-6)
 
 
+def test_qoe_to_go_one_session_equals_scalar_composition():
+    model = est.EstimatorModel(hidden=16, seed=2)
+    rng = np.random.default_rng(3)
+    for n in range(9):
+        history = tuple(rng.uniform(0.2, 6.0, n))
+        buffer_s, remaining = float(rng.uniform(0, 60)), float(rng.uniform(0, 1))
+        for window in (1, 2, 4, 8):
+            stats = throughput_stats(history, window) if n else est.STARTUP_PRIOR
+            scalar = estimate(model, features(stats, buffer_s, remaining))
+            assert est.qoe_to_go(model, [history], [buffer_s], [remaining], window).tolist() == [scalar]
+
+
+def test_qoe_to_go_batch_rows_match_single_calls():
+    model = est.EstimatorModel(hidden=16, seed=2)
+    rng = np.random.default_rng(4)
+    measured = rng.uniform(0.2, 6.0, (64, 6))
+    buffer_s, remaining = rng.uniform(0, 60, 64), rng.uniform(0, 1, 64)
+    batch = est.qoe_to_go(model, measured, buffer_s, remaining, 4)
+    single = [est.qoe_to_go(model, [m], [b], [r], 4)[0] for m, b, r in zip(measured, buffer_s, remaining)]
+    assert batch.shape == (64,)
+    assert np.allclose(batch, single, rtol=0.0, atol=1e-6)
+    assert np.all(batch >= 0.0) and 0 < np.count_nonzero(batch) < 64  # some rows clamped, some not
+    startup = est.qoe_to_go(model, [(), ()], [10.0, 20.0], [1.0, 1.0], 4)
+    alone = [estimate(model, features(est.STARTUP_PRIOR, b, 1.0)) for b in (10.0, 20.0)]
+    assert np.allclose(startup, alone, rtol=0.0, atol=1e-6)
+
+
 def test_rank_correlation():
     assert rank_correlation([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
     assert rank_correlation([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)

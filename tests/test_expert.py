@@ -151,6 +151,23 @@ def test_trajectory_roundtrip(tmp_path, params):
     assert np.array_equal(loaded[0].actions, trajectories[0].actions)
 
 
+# Returns recorded before the QoE-to-go estimate moved into est.qoe_to_go.
+PINNED_RETURNS = [
+    0.4439842700958252, 0.42172539234161377, 0.3878825008869171, 0.3550780415534973,
+    0.31890666484832764, 0.28409358859062195, 0.24924936890602112, 0.2057960033416748,
+    0.15785051882266998, 0.11505750566720963, 0.08496202528476715, 0.07001197338104248,
+]
+
+
+def test_pinned_trajectory_returns(params):
+    manifest = qoe.make_manifest(12, 4.0, size_jitter=0.1, seed=1)
+    trace = traces.gen_synthetic_trace(traces.SyntheticSpec(1.6, 0.6, 200.0, seed=1))
+    plan, log = expert.plan_session(manifest, trace, params)
+    traj = expert.trajectory_from_log(log, est.EstimatorModel(hidden=16, seed=1), 4)
+    assert plan.actions == [4, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3]
+    assert traj.returns.tolist() == PINNED_RETURNS
+
+
 # Plans recorded before the frontier step was rewritten; the pruned and the
 # exact plan agreed on every case.  Each case takes one planner path: regime
 # switches, a stationary grid trace, a mid-session start, a constant trace

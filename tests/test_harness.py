@@ -293,6 +293,43 @@ def test_handle_decide_contract(service_bundle):
     assert (status, body) == again
 
 
+# Answers recorded before the QoE-to-go estimate moved into est.qoe_to_go:
+# (window length, first timestep) -> (status, level, r_hat).  The first
+# window starts at timestep 0, whose placeholder throughput is no measurement.
+PINNED_DECISIONS = [
+    ((1, 0), (200, 3, 0.0875329002737999)),
+    ((2, 9), (200, 3, 0.0)),
+    ((3, 5), (200, 1, 0.2388133406639099)),
+    ((4, 0), (200, 1, 0.1671411544084549)),
+    ((4, 17), (200, 1, 0.18222923576831818)),
+]
+
+
+def test_pinned_handle_decide_answers(service_bundle):
+    rng = np.random.default_rng(11)
+    answers = []
+    for (n, t0), _ in PINNED_DECISIONS:
+        observations = [
+            {
+                "buffer_s": float(rng.uniform(0, 30)),
+                "throughput_mbps": float(rng.uniform(0.3, 5)),
+                "download_s": float(rng.uniform(0, 6)),
+                "next_chunk_sizes_bytes": [float(x) for x in rng.uniform(1e5, 3e6, 6)],
+                "remaining_frac": float(rng.uniform(0.1, 1)),
+            }
+            for _ in range(n)
+        ]
+        window = {
+            "timesteps": list(range(t0, t0 + n)),
+            "observations": observations,
+            "returns": [float(x) for x in rng.uniform(0, 2, n - 1)],
+            "actions": [int(x) for x in rng.integers(0, 6, n - 1)],
+        }
+        status, body = service.handle_decide(service_bundle, {"window": window})
+        answers.append(((n, t0), (status, body["level"], body["r_hat"])))
+    assert answers == PINNED_DECISIONS
+
+
 def test_handle_decide_validation(service_bundle):
     request = well_formed_request()
     del request["window"]["observations"][0]["buffer_s"]
