@@ -59,7 +59,10 @@ def throughput_stats(history, window: int = 4) -> NetStats:
     recent = np.asarray(history, dtype=np.float64)[..., -window:]
     if recent.shape[-1] == 0:
         raise EstimatorError("throughput history is empty")
-    mean, std = recent.mean(axis=-1), recent.std(axis=-1)
+    # The ufunc calls ndarray.mean and .std make, without their Python wrappers: the same bits.
+    n = recent.shape[-1]
+    mean = np.add.reduce(recent, axis=-1) / n
+    std = np.sqrt(np.add.reduce(np.square(recent - mean[..., None]), axis=-1) / n)
     if recent.ndim == 1:
         return NetStats(float(mean), float(std))
     return NetStats(mean, std)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -51,6 +51,17 @@ class RunConfig:
             raise HarnessError(f"missing input files: {missing}")
 
 
+def _config_section(doc: dict, key: str, cls: type, path: str | Path):
+    """``cls`` built from the run config's ``key`` object (its defaults when absent)."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise HarnessError(f"run config {path}: '{key}' must be an object")
+    unknown = sorted(set(section) - {f.name for f in fields(cls)})
+    if unknown:
+        raise HarnessError(f"run config {path}: unknown '{key}' key(s) {unknown}")
+    return cls(**section)
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if "manifest" not in doc:
@@ -70,9 +81,9 @@ def load_run_config(path: str | Path) -> RunConfig:
         test_trace_paths=list(trace_doc.get("test", [])),
         train_trace_paths=list(trace_doc.get("train", [])),
         algorithms=algorithms,
-        qoe_params=qoe.QoeParams(**doc.get("qoe", {})),
-        sim_config=sim.SimConfig(**doc.get("sim", {})),
-        dp_config=expert.DpConfig(**doc.get("dp", {})),
+        qoe_params=_config_section(doc, "qoe", qoe.QoeParams, path),
+        sim_config=_config_section(doc, "sim", sim.SimConfig, path),
+        dp_config=_config_section(doc, "dp", expert.DpConfig, path),
         seed=int(doc.get("seed", 0)),
         output_dir=doc.get("output_dir", "out"),
     )

@@ -12,6 +12,9 @@ they would get one at a time.
 from __future__ import annotations
 
 import json
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
@@ -156,7 +159,55 @@ def handle_decide(bundle: DecisionBundle, payload: dict) -> tuple[int, dict]:
     return 200, {"level": level, "r_hat": r_hat}
 
 
-def make_server(bundle: DecisionBundle, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
+class ReusingHTTPServer(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` whose handler threads serve one connection after another.
+
+    Each connection still gets its own thread at once: an idle handler thread
+    if there is one, else a new daemon thread, so a slow client never delays
+    another.  A thread that has served its connection waits for the next one,
+    or exits if ``os.cpu_count()`` threads already wait.  Reuse saves starting
+    a thread per connection, and the slower first numpy and BLAS calls of a
+    fresh thread.  ``server_close`` ends the waiting threads.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._handoff = queue.SimpleQueue()  # connections, or None to end a thread
+        self._lock = threading.Lock()
+        self._idle = 0  # threads that will take one item off the handoff queue
+        self._closed = False
+        self._max_idle = os.cpu_count() or 1
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            if self._idle:
+                self._idle -= 1
+                self._handoff.put((request, client_address))
+                return
+        threading.Thread(target=self._serve, args=(request, client_address), daemon=self.daemon_threads).start()
+
+    def _serve(self, request, client_address) -> None:
+        while True:
+            self.process_request_thread(request, client_address)
+            with self._lock:
+                if self._closed or self._idle >= self._max_idle:
+                    return
+                self._idle += 1
+            job = self._handoff.get()
+            if job is None:
+                return
+            request, client_address = job
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            for _ in range(self._idle):
+                self._handoff.put(None)
+            self._idle = 0
+
+
+def make_server(bundle: DecisionBundle, host: str = "127.0.0.1", port: int = 0) -> ReusingHTTPServer:
     """HTTP server exposing POST /decide; port 0 picks an ephemeral port."""
 
     class Handler(BaseHTTPRequestHandler):
@@ -194,7 +245,7 @@ def make_server(bundle: DecisionBundle, host: str = "127.0.0.1", port: int = 0) 
         def log_message(self, fmt: str, *args) -> None:  # quiet by default
             pass
 
-    return ThreadingHTTPServer((host, port), Handler)
+    return ReusingHTTPServer((host, port), Handler)
 
 
 def serve_decisions(bundle: DecisionBundle, host: str = "127.0.0.1", port: int = 8008) -> None:
@@ -205,3 +256,4 @@ def serve_decisions(bundle: DecisionBundle, host: str = "127.0.0.1", port: int =
         server.serve_forever()
     except KeyboardInterrupt:
         server.shutdown()
+        server.server_close()

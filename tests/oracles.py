@@ -13,7 +13,8 @@ pairwise dominance check is the reference for the planner's grid prune.
 The reference sequence-model forward rebuilds the interleaved tokens from
 the raw window and runs every token through every block in float64, one
 query position at a time; it reads only the model's parameter arrays and
-config, never the ``nn`` or ``dt`` forward code.
+config, never the ``nn`` or ``dt`` forward code.  The mean-based layer norm is
+the reference, bit for bit, for ``nn.LayerNorm.forward``'s ufunc reductions.
 """
 
 from __future__ import annotations
@@ -260,3 +261,11 @@ def reference_dt_logits(arrays: dict, config, timesteps, observations, returns, 
         hidden = np.maximum(affine(layer_norm(x, f"{name}.ln2"), f"{name}.fc1"), 0.0)
         x = x + affine(hidden, f"{name}.fc2")
     return affine(layer_norm(x, "dt.ln_f"), "dt.head")[:, 1::3]
+
+
+def mean_layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Layer norm over the trailing axis written with ``ndarray.mean``: (y, inv_std)."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    xc -= xc.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.square(xc).mean(axis=-1, keepdims=True) + eps)
+    return xc * inv_std * g + b, inv_std

@@ -239,3 +239,20 @@ def test_cli_refuses_missing_input(sweep_lab, tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"abrlab {argv[0]}: ") and str(named) in captured.err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, value, named", [
+    ("qoe", {"bogus_key": 1}, "bogus_key"),
+    ("sim", {"bogus_key": 1}, "bogus_key"),
+    ("dp", {"bogus_key": 1}, "bogus_key"),
+    ("qoe", 5, "'qoe' must be an object"),
+])
+def test_eval_refuses_unknown_config_key(sweep_lab, tmp_path, capsys, section, value, named):
+    """A qoe, sim or dp key the lab does not know, or a section that is no object, exits with status 2,
+    names it, and writes nothing."""
+    config = _run_config(tmp_path, {"manifest": str(sweep_lab / "manifest.json"), "algorithms": [{"name": "bb"}],
+                                    "corpus_index": str(sweep_lab / "traces" / "corpus.json"), section: value})
+    assert run(["eval", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("abrlab eval: ") and named in captured.err
+    assert not (tmp_path / "out").exists()

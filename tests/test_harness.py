@@ -5,10 +5,13 @@ import dataclasses
 import http.client
 import json
 import math
+import os
 import sys
 import threading
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -681,3 +684,113 @@ def test_http_server_roundtrip(service_bundle):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+@contextmanager
+def serving(server):
+    """Run ``server`` on a background thread; shut it down and close it on exit."""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def record_handler_threads(server) -> list[threading.Thread]:
+    """Wrap the server's ``handle``; returns the list of threads that served each request, in order."""
+    served = []
+    handle = server.RequestHandlerClass.handle
+
+    def recorded(self) -> None:
+        served.append(threading.current_thread())
+        handle(self)
+
+    server.RequestHandlerClass.handle = recorded
+    return served
+
+
+def post_decide(port: int, payload) -> tuple[int, dict]:
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("POST", "/decide", body=json.dumps(payload).encode(), headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+def test_http_server_reuses_handler_threads(service_bundle):
+    server = service.make_server(service_bundle, port=0)
+    served = record_handler_threads(server)
+    with serving(server) as port:
+        for _ in range(20):
+            assert post_decide(port, well_formed_request())[0] == 200
+    assert len(served) == 20
+    # A client may send its next request before the thread that answered it is idle again.
+    # Thread objects, not idents: the ident of an ended thread may be given to the next one.
+    assert len(set(served)) <= 2
+
+
+def test_http_server_stalled_bodies_do_not_delay_others(service_bundle, monkeypatch):
+    """More stalled connections than idle threads may wait: a request behind them is still answered at once."""
+    monkeypatch.setattr(service, "READ_TIMEOUT_S", 2.0)
+    server = service.make_server(service_bundle, port=0)
+    with serving(server) as port:
+        stalled = []
+        try:
+            for _ in range((os.cpu_count() or 1) + 1):
+                conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+                conn.putrequest("POST", "/decide")
+                conn.putheader("Content-Type", "application/json")
+                conn.putheader("Content-Length", "100")
+                conn.endheaders(b'{"window":')  # 10 of the 100 declared bytes
+                stalled.append(conn)
+            time.sleep(0.2)  # every stalled connection is accepted and its handler waits for the body
+            start = time.perf_counter()
+            assert post_decide(port, well_formed_request())[0] == 200
+            assert time.perf_counter() - start < 1.0
+            for conn in stalled:
+                assert conn.getresponse().status == 408
+        finally:
+            for conn in stalled:
+                conn.close()
+
+
+def test_http_server_concurrent_clients_match_sequential(service_bundle):
+    bundle = copy.deepcopy(service_bundle)
+    bundle.model.head.w.value *= 100.0  # spread the levels, so a corrupted forward changes answers
+    rng = np.random.default_rng(5)
+    requests = [{"window": {}} if i % 10 == 9 else random_request(rng) for i in range(400)]
+    expected = [service.handle_decide(bundle, r) for r in requests]
+    assert len({body["level"] for status, body in expected if status == 200}) > 1
+    server = service.make_server(bundle, port=0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the handoff of connections to idle handler threads
+    try:
+        with serving(server) as port:
+
+            def client(first: int) -> list[tuple[int, dict]]:
+                return [post_decide(port, requests[i]) for i in range(first, len(requests), 4)]
+
+            with ThreadPoolExecutor(4) as pool:
+                answers = list(pool.map(client, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    for first, got in enumerate(answers):
+        assert got == expected[first::4]  # status, level and r_hat compared with ==
+
+
+def test_http_server_close_ends_handler_threads(service_bundle):
+    server = service.make_server(service_bundle, port=0)
+    served = record_handler_threads(server)
+    with serving(server) as port:
+        with ThreadPoolExecutor(4) as pool:
+            statuses = list(pool.map(lambda _: post_decide(port, well_formed_request())[0], range(16)))
+        assert statuses == [200] * 16
+    deadline = time.perf_counter() + 2.0
+    while any(thread.is_alive() for thread in served) and time.perf_counter() < deadline:
+        time.sleep(0.01)
+    assert not any(thread.is_alive() for thread in served)

@@ -21,6 +21,7 @@ from abrlab.nn import (
     grad_check,
     mse,
 )
+from oracles import mean_layer_norm
 
 
 def test_affine_identity_and_bias():
@@ -299,6 +300,25 @@ def test_layernorm_float32_matches_float64():
         # Relative to the largest reference value of each row (or of the whole parameter gradient).
         scale = np.abs(ref).max(axis=-1, keepdims=True)
         assert np.all(np.abs(low - ref) <= 1e-5 * scale)
+
+
+@pytest.mark.parametrize("shape", [(1, 11, 128), (4, 11, 128), (128, 12, 128)])
+def test_layernorm_forward_matches_mean_oracle(shape):
+    """The ufunc reductions give ndarray.mean's bits, also on rows whose mean dwarfs their spread."""
+    rng = np.random.default_rng(shape[0])
+    means = rng.choice([0.0, 1e3, -1e3, 5.0], size=shape[:-1] + (1,))
+    means.flat[0] = 1e3
+    stds = rng.choice([1.0, 0.1, 30.0], size=shape[:-1] + (1,))
+    stds.flat[0] = 1.0
+    x = (means + stds * rng.normal(size=shape)).astype(np.float32)
+    ln = LayerNorm(shape[-1])
+    ln.g.value = rng.normal(1.0, 0.2, shape[-1]).astype(np.float32)
+    ln.b.value = rng.normal(0.0, 0.2, shape[-1]).astype(np.float32)
+    y, (xhat, inv_std) = ln.forward(x)
+    y_ref, inv_std_ref = mean_layer_norm(x, ln.g.value, ln.b.value, ln.eps)
+    assert y.dtype == inv_std.dtype == np.float32
+    assert np.array_equal(inv_std, inv_std_ref)
+    assert np.array_equal(y, y_ref)
 
 
 def _state(obj) -> dict:
