@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .qoe import QoeParams, VideoManifest
-from .sim import Observation, SessionState, SimConfig, throughput_history, transition
+from .sim import Observation, SessionState, SimConfig, stall_s, throughput_history, transition
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,8 @@ def mpc_first_levels(
     length i+1 in ascending lexicographic order, so the n + n^2 + ... + n^H
     nodes replace n^H full sequences of H steps each.  Every leaf sums the
     same per-chunk terms in the same order as replaying its sequence alone,
-    and ties keep the first (lexicographically lowest) sequence.
+    and ties keep the first (lexicographically lowest) sequence.  The last
+    depth needs only each leaf's stall, and its terms accumulate in place.
     """
     t0 = states[0].next_chunk
     if any(s.next_chunk != t0 for s in states):
@@ -150,22 +151,33 @@ def mpc_first_levels(
     rate_bits = np.asarray(forecasts_mbps, dtype=np.float64)[:, None, None] * 1e6
     has_prev = np.array([s.last_level is not None for s in states])[:, None, None]
     q_prev = np.array([0.0 if s.last_level is None else q_lv[s.last_level] for s in states])[:, None, None]
+    # Smoothness penalty of a child level (column) after its parent's level (row).
+    switch_penalty = params.smooth_penalty * np.abs(q_lv - q_lv[:, None])
     buffer_s = np.array([s.buffer_s for s in states])[:, None]
     value = np.zeros((B, 1))
     for i in range(horizon):
         # Children of every (session, prefix) node, one per level: (B, prefixes, n_lv).
         t = t0 + i
         d = manifest.chunk_sizes_bytes[t] * 8.0 / rate_bits
-        _, rebuffer, buffer_s, _ = transition(
-            buffer_s[:, :, None], d, t == 0, manifest.chunk_duration_s, sim_config.buffer_cap_s
-        )
+        term = np.empty((B, value.shape[1], n_lv))
+        if i + 1 < horizon:
+            _, rebuffer, buffer_s, _ = transition(
+                buffer_s[:, :, None], d, t == 0, manifest.chunk_duration_s, sim_config.buffer_cap_s
+            )
+            np.multiply(rebuffer, params.rebuffer_penalty, out=term)
+        elif t == 0:  # a one-chunk horizon at the session start: its stall is startup delay
+            term.fill(0.0)
+        else:  # the leaves: only the rebuffering counts, no buffer to carry on
+            stall_s(buffer_s[:, :, None], d, out=term)
+            term *= params.rebuffer_penalty
+        np.subtract(q_lv, term, out=term)
         if i == 0:  # against each session's last level, if it has one
-            smooth = np.where(has_prev, np.abs(q_lv - q_prev), 0.0)
+            term -= params.smooth_penalty * np.where(has_prev, np.abs(q_lv - q_prev), 0.0)
         else:  # against the parent node's level, the same for every session
-            smooth = np.abs(q_lv - q_prev[:, None])
-        value = value[:, :, None] + (q_lv - params.rebuffer_penalty * rebuffer - params.smooth_penalty * smooth)
-        value, buffer_s = value.reshape(B, -1), buffer_s.reshape(B, -1)
-        q_prev = np.tile(q_lv, value.shape[1] // n_lv)
+            by_parent = term.reshape(B, -1, n_lv, n_lv)  # (B, grandparents, parent level, level), a view
+            by_parent -= switch_penalty
+        term += value[:, :, None]
+        value, buffer_s = term.reshape(B, -1), buffer_s.reshape(B, -1)
     # argmax takes the first maximum: leaves are in ascending lexicographic
     # order, so ties resolve toward lower bitrates.
     return np.argmax(value, axis=1) // n_lv ** (horizon - 1)

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import dt, estimator as est, expert, harness, nn, qoe, service, sim, traces
@@ -147,9 +148,12 @@ def _cmd_make_expert(args) -> int:
     corpus = _resolve_traces(args.traces, args.split)
     dp_cfg = expert.DpConfig(dominance_prune=args.prune)
     start = time.perf_counter()
-    sessions = [expert.plan_session(manifest, trace, qoe.QoeParams(), dp_cfg) for trace in corpus]
+    sessions = expert.plan_sessions(manifest, corpus, qoe.QoeParams(), dp_cfg)
     plan_s = time.perf_counter() - start
-    trajectories = [expert.trajectory_from_log(log, estimator_model, args.stats_window) for _, log in sessions]
+    trajectories = [
+        replace(expert.trajectory_from_log(log, estimator_model, args.stats_window), ladder_kbps=manifest.ladder.levels)
+        for _, log in sessions
+    ]
     expert.save_trajectories(trajectories, args.out)
     print(f"wrote {len(trajectories)} trajectories to {args.out}")
     # Planner throughput and frontier go to stdout only, never into the trajectory file.
@@ -168,13 +172,14 @@ def _cmd_train_dt(args) -> int:
         raise dt.DtError(f"no trajectories in {args.trajectories}")
     obs_width = trajectories[0].observations.shape[1]
     n_actions = trajectories[0].actions.shape[1]
+    ladder = _trajectory_ladder(trajectories, args.trajectories, n_actions)
     max_t = max(int(t.timesteps.max()) for t in trajectories) + 1
     start = time.perf_counter()
     config = dt.DtConfig(context_len=args.context_len, action_count=n_actions, obs_dim=obs_width, max_timestep=max_t)
     hyper = dt.DtTrainConfig(steps=args.steps, batch_size=args.batch, seed=args.seed)
     model, history = dt.train_dt(trajectories, config, hyper)
     train_s = time.perf_counter() - start
-    dt.save_dt(model, args.out)
+    dt.save_dt(model, args.out, ladder)
     # Training throughput goes to stdout only; tokens count batch x 3K per step.
     steps = history.steps_run
     tokens = steps * hyper.batch_size * 3 * config.context_len
@@ -185,15 +190,31 @@ def _cmd_train_dt(args) -> int:
     return 0
 
 
+def _trajectory_ladder(trajectories: list[expert.Trajectory], path: str, n_actions: int) -> tuple[float, ...]:
+    """The one bitrate ladder every trajectory of a file was planned on, which the checkpoint records."""
+    ladders = {traj.ladder_kbps for traj in trajectories}
+    if None in ladders:
+        raise dt.DtError(f"{path}: a trajectory records no ladder_kbps; write the file with make-expert")
+    if len(ladders) > 1:
+        raise dt.DtError(f"{path}: trajectories disagree on ladder_kbps: {sorted(ladders)}")
+    ladder = ladders.pop()
+    if len(ladder) != n_actions:
+        raise dt.DtError(f"{path}: ladder_kbps of {len(ladder)} levels for {n_actions} actions")
+    return ladder
+
+
 def _cmd_eval(args) -> int:
     config = harness.load_run_config(args.config)
     start = time.perf_counter()
     report = harness.evaluate_corpus(config)
     eval_s = time.perf_counter() - start
     paths = harness.emit_report(report, config.output_dir)
-    for agg in report.aggregates:
-        print(f"{agg.algorithm:>6}: mean QoE {agg.mean_qoe:+.4f} +- {agg.std_qoe:.4f}")
     # Throughput goes to stdout only: the report files stay byte-identical across runs.
+    for agg, seconds in zip(report.aggregates, report.seconds):
+        print(
+            f"{agg.algorithm:>6}: mean QoE {agg.mean_qoe:+.4f} +- {agg.std_qoe:.4f}; "
+            f"{agg.session_count} sessions in {seconds:.3f} s ({agg.session_count / seconds:.1f} sessions/s)"
+        )
     sessions = len(report.sessions)
     print(f"evaluated {sessions} sessions in {eval_s:.3f} s ({sessions / eval_s:.1f} sessions/s)")
     print(f"report written to {paths['json']}")

@@ -17,7 +17,7 @@ decisions; its last block computes only the tokens whose logits are read.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -311,13 +311,18 @@ def _loss_and_grads(
     train: bool,
     rng: np.random.Generator | None,
     caches: dict | None = None,
+    lane: ThreadPoolExecutor | None = None,
 ) -> float:
     """Cross-entropy over every timestep of the segment batch, with backward; ``caches`` as in ``_forward``.
 
     The backward runs the ``dx`` chain on the calling thread and every parameter-gradient
     accumulation on one helper thread (the lane), in the order the layers hand them over.
-    The lane is joined before returning, so every ``Param.grad`` is complete and a lane
-    exception is raised here."""
+    ``train_dt`` passes one lane for all its steps; without one, the step opens its own.
+    Every lane task of the step has finished before it returns or raises, so every
+    ``Param.grad`` is complete and a lane exception is raised here."""
+    if lane is None:
+        with _grad_lane() as own:
+            return _loss_and_grads(model, t, o, r, a, train, rng, caches, own)
     caches = {} if caches is None else caches
     cfg = model.config
     dtype = model.head.w.value.dtype
@@ -327,12 +332,12 @@ def _loss_and_grads(
     loss, dlogits = nn.cross_entropy(
         logits.reshape(B * K, cfg.action_count), a.reshape(B * K, cfg.action_count).astype(dtype)
     )
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dt-grad-lane") as lane:
-        futures = []
+    futures: list[Future] = []
 
-        def defer(grads) -> None:
-            futures.append(lane.submit(grads))
+    def defer(grads) -> None:
+        futures.append(lane.submit(grads))
 
+    try:
         dx = model.head.backward(caches["head"], dlogits.reshape(B, K, cfg.action_count), defer)
         dx = model.ln_f.backward(caches["ln_f"], dx, defer)
         for i in reversed(range(len(model.blocks))):
@@ -342,9 +347,16 @@ def _loss_and_grads(
         model.embed_o.backward(co, do_tok, defer)
         model.embed_a.backward(ca, da_tok, defer)
         model.embed_t.backward(ct, dr_tok + do_tok + da_tok, defer)
-        for done in futures:
-            done.result()
+    finally:
+        wait(futures)
+    for done in futures:
+        done.result()
     return loss
+
+
+def _grad_lane() -> ThreadPoolExecutor:
+    """The one helper thread that parameter-gradient accumulations run on."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="dt-grad-lane")
 
 
 def train_dt(
@@ -369,22 +381,23 @@ def train_dt(
     losses: list[float] = []
     checks: list[tuple[int, float]] = []
     steps_run = 0
-    for step in range(hyper.steps):
-        picks = rng.integers(0, len(index), size=hyper.batch_size)
-        t, o, r, a = _gather_batch(trajectories, index, picks, config.context_len)
-        opt.zero_grad()
-        loss = _loss_and_grads(model, t, o, r, a, train=True, rng=rng, caches=caches)
-        if not np.isfinite(loss):
-            raise DtError(f"training diverged at step {step}: loss={loss}")
-        opt.lr = nn.cosine_lr(step, hyper.steps, hyper.lr0)
-        opt.step()
-        losses.append(loss)
-        steps_run = step + 1
-        if hyper.target_accuracy is not None and steps_run % hyper.check_every == 0:
-            acc = next_action_accuracy(model, trajectories)
-            checks.append((steps_run, acc))
-            if acc >= hyper.target_accuracy:
-                break
+    with _grad_lane() as lane:  # one lane for the run, shut down however it ends
+        for step in range(hyper.steps):
+            picks = rng.integers(0, len(index), size=hyper.batch_size)
+            t, o, r, a = _gather_batch(trajectories, index, picks, config.context_len)
+            opt.zero_grad()
+            loss = _loss_and_grads(model, t, o, r, a, train=True, rng=rng, caches=caches, lane=lane)
+            if not np.isfinite(loss):
+                raise DtError(f"training diverged at step {step}: loss={loss}")
+            opt.lr = nn.cosine_lr(step, hyper.steps, hyper.lr0)
+            opt.step()
+            losses.append(loss)
+            steps_run = step + 1
+            if hyper.target_accuracy is not None and steps_run % hyper.check_every == 0:
+                acc = next_action_accuracy(model, trajectories)
+                checks.append((steps_run, acc))
+                if acc >= hyper.target_accuracy:
+                    break
     return model, DtTrainHistory(losses=losses, accuracy_checks=checks, steps_run=steps_run)
 
 

@@ -166,9 +166,9 @@ def make_estimator_dataset(
         dp_config = expert.DpConfig()
     rows: list[np.ndarray] = []
     labels: list[float] = []
-    for spec in specs:
-        trace = gen_synthetic_trace(spec)
-        plan, log = expert.plan_session(manifest, trace, params, dp_config, sim_config)
+    grid = [gen_synthetic_trace(spec) for spec in specs]
+    sessions = expert.plan_sessions(manifest, grid, params, dp_config, sim_config)
+    for spec, (plan, log) in zip(specs, sessions):
         suffix = params.qoe_to_go_scale * plan.value_to_go
         for t, obs in enumerate(log.observations):
             rows.append(np.array([spec.mean_mbps, spec.stddev_mbps, obs.buffer_s, obs.remaining_frac]))

@@ -12,8 +12,9 @@ re-quantized after every transition, so the search is exact whenever the
 true values land on quantization points and otherwise accurate to a bound
 that scales with the quanta.
 
-``PlanFollower`` is the one plan replay: ``plan_session`` and the
-evaluation's dp row both drive the simulator with it.  Expert trajectories
+``PlanFollower`` is the one plan replay: ``plan_sessions`` replays every
+plan of a corpus in one lock-step run with it (``plan_session`` is its
+one-trace case), and so does the evaluation's dp row.  Expert trajectories
 pair each decision-time observation of a replayed plan with the estimator's
 QoE-to-go output and the replayed action as a one-hot distribution; they are
 the training unit for the sequence model.
@@ -113,7 +114,7 @@ def dp_plan(
     max_bq = int(round(cap / dq_b))
     # On a constant-bandwidth trace the download time is position-free, so
     # wall time can be dropped from the state identity.
-    time_free = len(profile.seg_rates) == 1
+    time_free = profile.seg_count[0] == 1
     sizes_bits = manifest.chunk_sizes_bytes * 8.0
     levels = np.arange(n_lv, dtype=np.int64)
 
@@ -263,6 +264,7 @@ class Trajectory:
 
     observations are raw decision-time vectors (T, obs_dim); returns hold the
     estimator output per chunk; actions are one-hot over ladder levels.
+    ``ladder_kbps`` is the bitrate ladder the plan chose from, when recorded.
     """
 
     trace_tag: str
@@ -270,6 +272,7 @@ class Trajectory:
     observations: np.ndarray
     returns: np.ndarray
     actions: np.ndarray
+    ladder_kbps: tuple[float, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.timesteps)
@@ -285,6 +288,19 @@ class PlanFollower:
         return [plan[s.next_chunk] for plan, s in zip(self.plans, states)]
 
 
+def plan_sessions(
+    manifest: VideoManifest,
+    traces: Sequence[NetworkTrace],
+    params: QoeParams = QoeParams(),
+    dp_config: DpConfig = DpConfig(),
+    sim_config: SimConfig = SimConfig(),
+) -> list[tuple[Plan, SessionLog]]:
+    """Plan every trace from the session start, then replay all plans in one lock-step run."""
+    plans = [dp_plan(manifest, trace, params, None, dp_config, sim_config) for trace in traces]
+    follower = PlanFollower(tuple(plan.actions for plan in plans))
+    return list(zip(plans, run_sessions(follower, manifest, traces, sim_config, params)))
+
+
 def plan_session(
     manifest: VideoManifest,
     trace: NetworkTrace,
@@ -292,10 +308,8 @@ def plan_session(
     dp_config: DpConfig = DpConfig(),
     sim_config: SimConfig = SimConfig(),
 ) -> tuple[Plan, SessionLog]:
-    """Plan once from the session start, then replay the plan in the simulator."""
-    plan = dp_plan(manifest, trace, params, None, dp_config, sim_config)
-    log = run_sessions(PlanFollower((plan.actions,)), manifest, [trace], sim_config, params)[0]
-    return plan, log
+    """Plan once from the session start, then replay the plan: ``plan_sessions`` of one trace."""
+    return plan_sessions(manifest, [trace], params, dp_config, sim_config)[0]
 
 
 def trajectory_from_log(
@@ -337,46 +351,46 @@ def build_expert_trajectories(
     dp_config: DpConfig = DpConfig(),
     sim_config: SimConfig = SimConfig(),
 ) -> list[Trajectory]:
-    out = []
-    for trace in traces:
-        _, log = plan_session(manifest, trace, params, dp_config, sim_config)
-        out.append(trajectory_from_log(log, estimator_model, stats_window))
-    return out
+    sessions = plan_sessions(manifest, traces, params, dp_config, sim_config)
+    return [trajectory_from_log(log, estimator_model, stats_window) for _, log in sessions]
 
 
 def save_trajectories(trajectories: Sequence[Trajectory], path: str | Path) -> None:
-    """One trajectory per line: {"trace", "t", "o", "r", "a"}."""
+    """One trajectory per line: {"trace", "t", "o", "r", "a"}, plus "ladder_kbps" when recorded."""
     with open(path, "w", encoding="utf-8") as fh:
         for traj in trajectories:
-            fh.write(
-                json.dumps(
-                    {
-                        "trace": traj.trace_tag,
-                        "t": traj.timesteps.tolist(),
-                        "o": traj.observations.tolist(),
-                        "r": traj.returns.tolist(),
-                        "a": traj.actions.tolist(),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            doc = {
+                "trace": traj.trace_tag,
+                "t": traj.timesteps.tolist(),
+                "o": traj.observations.tolist(),
+                "r": traj.returns.tolist(),
+                "a": traj.actions.tolist(),
+            }
+            if traj.ladder_kbps is not None:
+                doc["ladder_kbps"] = list(traj.ladder_kbps)
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_trajectories(path: str | Path) -> list[Trajectory]:
+    """Trajectories of a file ``save_trajectories`` wrote; a malformed line raises ``ValueError``."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             doc = json.loads(line)
-            out.append(
-                Trajectory(
-                    trace_tag=doc["trace"],
-                    timesteps=np.asarray(doc["t"], dtype=np.int64),
-                    observations=np.asarray(doc["o"], dtype=np.float64),
-                    returns=np.asarray(doc["r"], dtype=np.float64),
-                    actions=np.asarray(doc["a"], dtype=np.float64),
+            try:
+                ladder = doc.get("ladder_kbps")
+                out.append(
+                    Trajectory(
+                        trace_tag=doc["trace"],
+                        timesteps=np.asarray(doc["t"], dtype=np.int64),
+                        observations=np.asarray(doc["o"], dtype=np.float64),
+                        returns=np.asarray(doc["r"], dtype=np.float64),
+                        actions=np.asarray(doc["a"], dtype=np.float64),
+                        ladder_kbps=None if ladder is None else tuple(float(r) for r in ladder),
+                    )
                 )
-            )
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path} line {line_no}: not a trajectory ({type(exc).__name__}: {exc})") from None
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -119,11 +120,15 @@ class EvalReport:
 
     Component values are per-chunk means so that for every aggregate row
     mean_qoe == utility - rebuffer_penalty - smoothness_penalty.
+    ``seconds`` holds the evaluation wall time of each aggregate row's
+    algorithm; it stays out of the report files, which are byte-identical
+    across runs.
     """
 
     sessions: list[SessionSummary]
     aggregates: list[AlgorithmAggregate]
     cdf: dict[str, dict[str, list[float]]]
+    seconds: list[float] = field(default_factory=list, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -234,7 +239,9 @@ def evaluate_corpus(
     sessions: list[SessionSummary] = []
     aggregates: list[AlgorithmAggregate] = []
     cdf: dict[str, dict[str, list[float]]] = {}
+    seconds: list[float] = []
     for spec in config.algorithms:
+        start = time.perf_counter()
         factory = make_policy_factory(spec, manifest, config.qoe_params, config.sim_config, config.dp_config)
         logs = sim.run_sessions(factory(test_traces), manifest, test_traces, config.sim_config, config.qoe_params)
         rows = [summarize_session(spec.name, log, config.qoe_params) for log in logs]
@@ -256,7 +263,8 @@ def evaluate_corpus(
             "qoe": [float(v) for v in ordered],
             "fraction": [float((i + 1) / len(ordered)) for i in range(len(ordered))],
         }
-    return EvalReport(sessions=sessions, aggregates=aggregates, cdf=cdf)
+        seconds.append(time.perf_counter() - start)
+    return EvalReport(sessions=sessions, aggregates=aggregates, cdf=cdf, seconds=seconds)
 
 
 def emit_report(report: EvalReport, output_dir: str | Path) -> dict[str, Path]:
@@ -316,10 +324,9 @@ class SweepContext:
 
     def plans(self) -> list[tuple[expert.Plan, sim.SessionLog]]:
         if self._plans is None:
-            self._plans = [
-                expert.plan_session(self.manifest, t, self.params, self.dp_config, self.sim_config)
-                for t in self.train_traces
-            ]
+            self._plans = expert.plan_sessions(
+                self.manifest, self.train_traces, self.params, self.dp_config, self.sim_config
+            )
         return self._plans
 
     def trajectories(self, stats_window: int) -> list[expert.Trajectory]:

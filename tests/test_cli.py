@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
-from abrlab import cli, estimator as est, expert, qoe, traces
+from abrlab import cli, estimator as est, expert, qoe, service, traces
 
 
 def run(argv) -> int:
@@ -135,15 +136,35 @@ def test_cli_sweep(tmp_path, capsys):
     (["--context-len", "7"], "shorter than context_len 7"),
     ("empty", "no trajectories in"),
     ("blank", "no trajectories in"),
+    ("no-ladder", "a trajectory records no ladder_kbps"),
+    ("two-ladders", "trajectories disagree on ladder_kbps"),
+    ("short-ladder", "ladder_kbps of 5 levels for 6 actions"),
+    ("no-observations", "line 2: not a trajectory (KeyError: 'o')"),
+    ("ladder-number", "line 1: not a trajectory (TypeError"),
 ])
 def test_train_dt_refuses_bad_settings(tmp_path, capsys, args, reason):
     """A refused setting or file exits with status 2 and its reason, and writes no checkpoint."""
     rng = np.random.default_rng(0)
-    traj = expert.Trajectory("t", np.arange(6), rng.random((6, 10)), rng.random(6), np.eye(6)[rng.integers(0, 6, 6)])
+    traj = expert.Trajectory(
+        "t", np.arange(6), rng.random((6, 10)), rng.random(6), np.eye(6)[rng.integers(0, 6, 6)],
+        qoe.DEFAULT_LADDER_KBPS,
+    )
     traj_path, dt_path = tmp_path / "expert.jsonl", tmp_path / "dt.npz"
     expert.save_trajectories([traj], traj_path)
-    if isinstance(args, str):  # a trajectory file with no trajectory in it
-        traj_path.write_text({"empty": "", "blank": "\n  \n\n"}[args], encoding="utf-8")
+    if isinstance(args, str):  # a trajectory file with no trajectory, or no single ladder, in it
+        other = {"no-ladder": None, "two-ladders": (300.0, 750.0, 1200.0, 1850.0, 2850.0, 5000.0)}
+        if args in other:
+            expert.save_trajectories([traj, dataclasses.replace(traj, ladder_kbps=other[args])], traj_path)
+        elif args == "short-ladder":
+            expert.save_trajectories([dataclasses.replace(traj, ladder_kbps=qoe.DEFAULT_LADDER_KBPS[:5])], traj_path)
+        elif args == "no-observations":
+            line = json.loads(traj_path.read_text())
+            del line["o"]
+            traj_path.write_text(traj_path.read_text() + json.dumps(line) + "\n")
+        elif args == "ladder-number":
+            traj_path.write_text(json.dumps(dict(json.loads(traj_path.read_text()), ladder_kbps=4300)) + "\n")
+        else:
+            traj_path.write_text({"empty": "", "blank": "\n  \n\n"}[args], encoding="utf-8")
         args = []
     assert run(["train-dt", "--trajectories", str(traj_path), "--out", str(dt_path), "--steps", "1"] + args) == 2
     assert reason in capsys.readouterr().err
@@ -256,3 +277,50 @@ def test_eval_refuses_unknown_config_key(sweep_lab, tmp_path, capsys, section, v
     captured = capsys.readouterr()
     assert captured.err.startswith("abrlab eval: ") and named in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_non_default_ladder_goes_from_make_expert_to_the_served_bundle(sweep_lab, tmp_path, monkeypatch, capsys):
+    """make-expert records the manifest's ladder, train-dt saves it, and serve answers on it."""
+    ladder = (200.0, 600.0, 1500.0, 3000.0)
+    manifest_path = tmp_path / "manifest.json"
+    qoe.save_manifest(qoe.make_manifest(chunk_count=6, ladder_kbps=ladder), manifest_path)
+    traj_path, dt_path = tmp_path / "expert.jsonl", tmp_path / "dt.npz"
+    assert run(["make-expert", "--manifest", str(manifest_path), "--estimator", str(sweep_lab / "estimator.npz"),
+                "--traces", str(sweep_lab / "traces" / "corpus.json"), "--out", str(traj_path), "--prune"]) == 0
+    assert {tuple(json.loads(line)["ladder_kbps"]) for line in traj_path.read_text().splitlines()} == {ladder}
+    assert run(["train-dt", "--trajectories", str(traj_path), "--out", str(dt_path),
+                "--context-len", "2", "--steps", "2", "--batch", "4"]) == 0
+    served = []
+    monkeypatch.setattr(service, "serve_decisions", lambda bundle, host, port: served.append(bundle))
+    assert run(["serve", "--dt", str(dt_path), "--estimator", str(sweep_lab / "estimator.npz"),
+                "--stats-window", "2"]) == 0
+    (bundle,) = served
+    assert bundle.ladder_kbps == ladder
+    obs = {"buffer_s": 0.0, "throughput_mbps": 1.0, "download_s": 0.0,
+           "next_chunk_sizes_bytes": [25e3, 75e3, 187.5e3, 375e3], "remaining_frac": 1.0}
+    window = {"timesteps": [0], "observations": [obs], "returns": [], "actions": []}
+    status, body = service.handle_decide(bundle, {"ladder_kbps": list(ladder), "window": window})
+    assert status == 200 and 0 <= body["level"] < len(ladder)
+    status, _ = service.handle_decide(bundle, {"ladder_kbps": [300.0, 750.0, 1200.0, 1850.0], "window": window})
+    assert status == 400
+    capsys.readouterr()
+
+
+def test_eval_prints_throughput_per_algorithm(sweep_lab, tmp_path, capsys):
+    """One stdout line per algorithm carries its session count and sessions/s; the report files do not change."""
+    config = _run_config(tmp_path, {"manifest": str(sweep_lab / "manifest.json"),
+                                    "corpus_index": str(sweep_lab / "traces" / "corpus.json"),
+                                    "algorithms": [{"name": "bb"}, {"name": "rb"}]})
+    reports = []
+    for _ in range(2):
+        capsys.readouterr()
+        assert run(["eval", "--config", config]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, line in zip(("bb", "rb"), lines):
+            assert re.fullmatch(
+                rf"\s*{name}: mean QoE [+-][0-9.]+ \+- [0-9.]+; 2 sessions in [0-9.]+ s \([0-9.]+ sessions/s\)", line
+            ), line
+        assert re.fullmatch(r"evaluated 4 sessions in [0-9.]+ s \([0-9.]+ sessions/s\)", lines[2])
+        reports.append({name: (tmp_path / "out" / name).read_bytes() for name in ("report.json", "summary.csv", "cdf.csv")})
+    assert reports[0] == reports[1]
+    assert not any(b"sessions/s" in data for data in reports[0].values())

@@ -225,6 +225,36 @@ def test_lane_exception_propagates_and_leaves_no_thread():
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("fault", [None, "lane", "diverged"])
+def test_train_dt_runs_one_lane_that_ends_with_it(monkeypatch, fault):
+    """Every step of a run shares one gradient lane, whose thread ends with the run, also when a step raises."""
+    lanes = []
+    open_lane = dt._grad_lane
+    monkeypatch.setattr(dt, "_grad_lane", lambda: lanes.append(open_lane()) or lanes[-1])
+    trajs = [random_trajectory(8, seed=1)]
+    hyper = DtTrainConfig(steps=4, batch_size=4, seed=0)
+    if fault is None:
+        _, history = train_dt(trajs, TINY, hyper)
+        assert history.steps_run == 4
+    elif fault == "lane":  # the head's weight-gradient closure raises on the lane at step 3
+        zero_grad = nn.AdamW.zero_grad
+
+        def zero_then_freeze(opt):
+            zero_grad(opt)
+            if opt.step_count == 2:
+                next(p for p in opt.params if p.name == "dt.head.w").grad.flags.writeable = False
+
+        monkeypatch.setattr(nn.AdamW, "zero_grad", zero_then_freeze)
+        with pytest.raises(ValueError, match="read-only"):
+            train_dt(trajs, TINY, hyper)
+    else:
+        nan_returns = [dataclasses.replace(trajs[0], returns=np.full(8, np.nan))]
+        with pytest.raises(DtError, match="diverged at step 0"):
+            train_dt(nan_returns, TINY, hyper)
+    assert len(lanes) == 1
+    assert not [t for t in threading.enumerate() if t.name.startswith("dt-grad-lane")]
+
+
 def test_overfit_single_trajectory():
     trajs = [random_trajectory(10, seed=5)]
     hyper = DtTrainConfig(steps=400, batch_size=16, seed=2, target_accuracy=1.0, check_every=50)

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abrlab import qoe, sim, traces
+from abrlab.expert import PlanFollower
 from abrlab.qoe import BitrateLadder, VideoManifest
 from abrlab.sim import BandwidthProfile, SessionState, SimConfig, SimError
 
+import oracles
 from conftest import constant_trace
 
 
@@ -224,3 +229,85 @@ def test_measured_history_and_startup_fallback():
     log = sim.run_policy(lambda s, o: 1, manifest, constant_trace(2.0))
     assert log.final_state.measured_mbps == tuple(r.throughput_mbps for r in log.records)
     assert sim.throughput_history(log.final_state.measured_mbps) == log.final_state.measured_mbps
+
+
+def test_wall_time_just_short_of_a_loop_boundary():
+    # 40 loops of this trace end at 123.59692270875768, and floor(w / period)
+    # rounds up to 40 one ulp below it, so the looped offset is a rounding step
+    # below 0: the download still starts at the end of the last loop.
+    trace = traces.NetworkTrace(np.array([0.0, 1.0, 3.0899230677189418]), np.array([1.0, 2.0, 2.0]))
+    other = constant_trace(0.7, duration_s=9.0)
+    w = np.nextafter(40 * trace.duration_s, 0.0)
+    assert w - np.floor(w / trace.duration_s) * trace.duration_s < 0.0
+    expected = oracles.fluid_download_s(trace, float(w), 3e6)
+    assert BandwidthProfile(trace).download_time(w, 3e6) == pytest.approx(expected, rel=1e-9)
+    assert BandwidthProfile([trace, other]).download_time(np.array([w, 5.0]), 3e6)[0] == pytest.approx(expected, rel=1e-9)
+
+
+def _traces(draw, count: int) -> list[traces.NetworkTrace]:
+    """Traces of 2-400 s with uneven sample spacing and runs of equal samples."""
+    out = []
+    for i in range(count):
+        n = draw(st.integers(2, 25))
+        gaps = np.array(draw(st.lists(st.floats(0.1, 40.0), min_size=n - 1, max_size=n - 1)))
+        times = np.concatenate(([0.0], np.cumsum(gaps)))
+        times *= draw(st.floats(2.0, 400.0)) / times[-1]
+        rate = st.one_of(st.sampled_from((0.3, 1.1, 2.5)), st.floats(0.2, 8.0))
+        out.append(traces.NetworkTrace(times, np.array(draw(st.lists(rate, min_size=n, max_size=n))), f"t{i}"))
+    return out
+
+
+@st.composite
+def lock_step_cases(draw):
+    corpus = _traces(draw, draw(st.integers(1, 6)))
+    chunks = draw(st.integers(1, 60))  # up to 240 s of video, so short traces loop
+    manifest = qoe.make_manifest(chunks, 4.0, size_jitter=0.3, seed=draw(st.integers(0, 99)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plans = tuple(rng.integers(0, 6, chunks).tolist() for _ in corpus)
+    config = SimConfig(buffer_cap_s=draw(st.sampled_from((8.0, 60.0))), link_efficiency=draw(st.sampled_from((0.7, 1.0))))
+    return corpus, manifest, plans, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(lock_step_cases())
+def test_lock_step_step_equals_one_trace_runs(case):
+    corpus, manifest, plans, config = case
+    logs = sim.run_sessions(PlanFollower(plans), manifest, corpus, config)
+    for log, trace, plan in zip(logs, corpus, plans):
+        state = sim.init_session(trace)
+        obs = sim.observe(manifest, state)
+        records, observations = [], []
+        for level in plan:
+            wall = state.wall_clock_s
+            observations.append(obs)
+            obs, record, state = sim.step(state, level, manifest, trace, config)
+            records.append(record)
+            fluid = oracles.fluid_download_s(trace, wall, manifest.chunk_bits(record.chunk_index, level), config.link_efficiency)
+            assert record.download_s == pytest.approx(fluid, rel=1e-9)
+        assert log.records == records
+        assert log.final_state == state
+        assert [o.vector().tolist() for o in log.observations] == [o.vector().tolist() for o in observations]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 5), st.sampled_from((-1, 6, 2.5, "2", None, "count")))
+def test_lock_step_refusals_at_every_batch_size(count, bad_chunk, bad):
+    corpus = [constant_trace(1.0 + i, tag=f"c{i}") for i in range(count)]
+    manifest = qoe.make_manifest(chunk_count=6)
+
+    class Faulty:
+        def decide_batch(self, states, observations):
+            levels = [1] * len(states)
+            if states[0].next_chunk != bad_chunk:
+                return levels
+            if bad == "count":
+                return levels + [1]
+            levels[-1] = bad
+            return levels
+
+    if bad == "count":
+        message = f"policy returned {count + 1} levels for {count} sessions at chunk {bad_chunk}"
+    else:
+        message = f"policy returned invalid level {bad!r} at chunk {bad_chunk}"
+    with pytest.raises(SimError, match=re.escape(message)):
+        sim.run_sessions(Faulty(), manifest, corpus)
