@@ -206,7 +206,9 @@ def _trajectory_ladder(trajectories: list[expert.Trajectory], path: str, n_actio
 def _cmd_eval(args) -> int:
     config = harness.load_run_config(args.config)
     start = time.perf_counter()
-    report = harness.evaluate_corpus(config)
+    inputs = harness.load_inputs(config)
+    policies = harness.run_policies(config, inputs.manifest)
+    report = harness.evaluate_corpus(policies, inputs.manifest, inputs.test_traces, config.qoe_params, config.sim_config)
     eval_s = time.perf_counter() - start
     paths = harness.emit_report(report, config.output_dir)
     # Throughput goes to stdout only: the report files stay byte-identical across runs.
@@ -225,24 +227,24 @@ def _cmd_sweep(args) -> int:
     dt_hyper = dt.DtTrainConfig(steps=args.steps, seed=args.seed)
     values = [int(v) for v in args.values.split(",")]
     config = harness.load_run_config(args.config)
-    manifest = qoe.load_manifest(config.manifest_path)
-    train = [traces.load_trace_file(p) for p in config.train_trace_paths]
-    test = [traces.load_trace_file(p) for p in config.test_trace_paths]
     dt_spec = next((a for a in config.algorithms if a.name == "dt"), None)
     if dt_spec is None or "estimator" not in dt_spec.settings:
         raise harness.HarnessError("needs a 'dt' algorithm entry with an estimator checkpoint")
     estimator_model = est.load_estimator(dt_spec.settings["estimator"])
+    inputs = harness.load_inputs(config, train=True)
+    manifest = inputs.manifest
     obs_width = sim.obs_dim(len(manifest.ladder))
     ctx = harness.SweepContext(
         manifest=manifest,
         params=config.qoe_params,
-        train_traces=train,
-        test_traces=test,
+        train_traces=inputs.train_traces,
+        test_traces=inputs.test_traces,
         estimator_model=estimator_model,
         dt_config=dt.DtConfig(
             action_count=len(manifest.ladder), obs_dim=obs_width, max_timestep=manifest.chunk_count
         ),
         dt_hyper=dt_hyper,
+        stats_window=int(dt_spec.settings.get("stats_window", 4)),
         sim_config=config.sim_config,
         dp_config=config.dp_config,
     )

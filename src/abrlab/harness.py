@@ -1,11 +1,12 @@
 """End-to-end orchestration: corpus evaluation, ablation sweeps, reports.
 
-A run configuration names the manifest, the trace corpus, and the algorithms
-to compare; evaluation drives every algorithm over every test trace and
-aggregates per-session QoE into a report with per-component means and CDF
-sample points.  The pipeline helper regenerates everything (traces,
-estimator, expert trajectories, sequence model) from one seed so that two
-runs with the same configuration produce byte-identical reports.
+Evaluation drives named policies over every test trace of an in-memory
+corpus and aggregates per-session QoE into a report with per-component means
+and CDF sample points.  A run configuration names the manifest, the trace
+corpus and the algorithms to compare; ``load_inputs`` and ``run_policies``
+resolve it into those inputs.  The pipeline helper regenerates everything
+(traces, estimator, expert trajectories, sequence model) from one seed so
+that two runs with the same configuration produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ class AlgorithmSpec:
     settings: dict = field(default_factory=dict)
 
 
+PolicyFactory = Callable[[Sequence[traces.NetworkTrace]], object]
+
+
 @dataclass
 class RunConfig:
     manifest_path: str
@@ -41,15 +45,17 @@ class RunConfig:
     qoe_params: qoe.QoeParams = field(default_factory=qoe.QoeParams)
     sim_config: sim.SimConfig = field(default_factory=sim.SimConfig)
     dp_config: expert.DpConfig = field(default_factory=expert.DpConfig)
-    seed: int = 0
     output_dir: str = "out"
 
-    def validate(self) -> None:
-        if not self.algorithms:
-            raise HarnessError("at least one algorithm is required")
-        missing = [p for p in [self.manifest_path, *self.test_trace_paths] if not Path(p).exists()]
-        if missing:
-            raise HarnessError(f"missing input files: {missing}")
+
+# The settings each algorithm reads from its run-config entry.
+ALGORITHM_SETTINGS = {
+    "bb": ("reservoir_s", "cushion_s"),
+    "rb": ("pred_window",),
+    "mpc": ("horizon", "error_window", "pred_window"),
+    "dt": ("checkpoint", "estimator", "stats_window"),
+    "dp": ("buffer_quantum_s", "time_quantum_s", "dominance_prune"),
+}
 
 
 def _config_section(doc: dict, key: str, cls: type, path: str | Path):
@@ -64,19 +70,23 @@ def _config_section(doc: dict, key: str, cls: type, path: str | Path):
 
 
 def load_run_config(path: str | Path) -> RunConfig:
+    """The run config at ``path``; a top-level ``seed`` key is accepted and ignored."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if "manifest" not in doc:
         raise HarnessError(f"run config {path} has no 'manifest' key")
-    if any("name" not in a for a in doc.get("algorithms", [])):
-        raise HarnessError(f"run config {path} has an algorithm without a 'name' key")
+    algorithms = []
+    for entry in doc.get("algorithms", []):
+        if "name" not in entry:
+            raise HarnessError(f"run config {path} has an algorithm without a 'name' key")
+        settings = {k: v for k, v in entry.items() if k != "name"}
+        unread = sorted(set(settings) - set(ALGORITHM_SETTINGS.get(entry["name"], ())))
+        if unread:
+            raise HarnessError(f"run config {path}: algorithm {entry['name']!r} has unknown setting(s) {unread}")
+        algorithms.append(AlgorithmSpec(entry["name"], settings))
     trace_doc = doc.get("traces", {})
     if "corpus_index" in doc:
         index = traces.load_corpus_index(doc["corpus_index"])
         trace_doc = {"train": index.get("train", []), "test": index.get("test", [])}
-    algorithms = [
-        AlgorithmSpec(a["name"], {k: v for k, v in a.items() if k != "name"})
-        for a in doc.get("algorithms", [])
-    ]
     return RunConfig(
         manifest_path=doc["manifest"],
         test_trace_paths=list(trace_doc.get("test", [])),
@@ -85,9 +95,38 @@ def load_run_config(path: str | Path) -> RunConfig:
         qoe_params=_config_section(doc, "qoe", qoe.QoeParams, path),
         sim_config=_config_section(doc, "sim", sim.SimConfig, path),
         dp_config=_config_section(doc, "dp", expert.DpConfig, path),
-        seed=int(doc.get("seed", 0)),
         output_dir=doc.get("output_dir", "out"),
     )
+
+
+@dataclass
+class RunInputs:
+    """The files a run config names, loaded."""
+
+    manifest: qoe.VideoManifest
+    test_traces: list[traces.NetworkTrace]
+    train_traces: list[traces.NetworkTrace]
+
+
+def load_inputs(config: RunConfig, train: bool = False) -> RunInputs:
+    """Load the manifest and the test traces (and the train traces if ``train``), refusing missing files."""
+    train_paths = config.train_trace_paths if train else []
+    missing = [p for p in [config.manifest_path, *config.test_trace_paths, *train_paths] if not Path(p).exists()]
+    if missing:
+        raise HarnessError(f"missing input files: {missing}")
+    return RunInputs(
+        manifest=qoe.load_manifest(config.manifest_path),
+        test_traces=[traces.load_trace_file(p) for p in config.test_trace_paths],
+        train_traces=[traces.load_trace_file(p) for p in train_paths],
+    )
+
+
+def run_policies(config: RunConfig, manifest: qoe.VideoManifest) -> list[tuple[str, PolicyFactory]]:
+    """A named policy factory per configured algorithm, in config order."""
+    return [
+        (spec.name, make_policy_factory(spec, manifest, config.qoe_params, config.sim_config, config.dp_config))
+        for spec in config.algorithms
+    ]
 
 
 @dataclass
@@ -164,9 +203,6 @@ def summarize_session(
     )
 
 
-PolicyFactory = Callable[[Sequence[traces.NetworkTrace]], object]
-
-
 def make_policy_factory(
     spec: AlgorithmSpec,
     manifest: qoe.VideoManifest,
@@ -177,61 +213,54 @@ def make_policy_factory(
     """Resolve an algorithm spec to a constructor of the policy for a test corpus.
 
     The policy drives every session of the corpus in one ``sim.run_sessions``
-    call; only dp depends on the traces, with one plan per trace.
+    call; only dp depends on the traces, with one plan per trace.  dt loads
+    its sequence model and estimator from checkpoint paths.
     """
     name, settings = spec.name, spec.settings
     if name == "bb":
-        cfg = baselines.BbConfig(**_pick(settings, "reservoir_s", "cushion_s"))
+        cfg = baselines.BbConfig(**settings)
         return lambda corpus: baselines.BufferBasedPolicy(manifest.ladder, cfg)
     if name == "rb":
         window = int(settings.get("pred_window", 5))
         return lambda corpus: baselines.RateBasedPolicy(manifest.ladder, window)
     if name == "mpc":
-        cfg = baselines.MpcConfig(**_pick(settings, "horizon", "error_window", "pred_window"))
+        cfg = baselines.MpcConfig(**settings)
         return lambda corpus: baselines.RobustMpcPolicy(manifest, params, cfg, sim_config)
     if name == "dt":
         model, estimator_model = _load_dt_bundle(settings)
         window = int(settings.get("stats_window", 4))
         return lambda corpus: dt.DtPolicy(model, estimator_model, window)
     if name == "dp":
-        cfg = replace(dp_config, **_pick(settings, "buffer_quantum_s", "time_quantum_s", "dominance_prune"))
+        cfg = replace(dp_config, **settings)
         return lambda corpus: expert.PlanFollower(
             tuple(expert.dp_plan(manifest, trace, params, None, cfg, sim_config).actions for trace in corpus)
         )
     raise HarnessError(f"unknown algorithm {name!r}")
 
 
-def _pick(settings: dict, *keys: str) -> dict:
-    return {k: settings[k] for k in keys if k in settings}
-
-
 def _load_dt_bundle(settings: dict):
     for key in ("checkpoint", "estimator"):
-        if key in settings and isinstance(settings[key], str) and not Path(settings[key]).exists():
+        if not isinstance(settings.get(key), str):
+            raise HarnessError(f"algorithm 'dt': needs a '{key}' path")
+        if not Path(settings[key]).exists():
             raise HarnessError(f"algorithm 'dt': missing {key} file {settings[key]!r}")
-    if "model" in settings and "estimator_model" in settings:
-        return settings["model"], settings["estimator_model"]
-    if "checkpoint" not in settings or "estimator" not in settings:
-        raise HarnessError("algorithm 'dt': needs 'checkpoint' and 'estimator' paths")
     return dt.load_dt(settings["checkpoint"]), est.load_estimator(settings["estimator"])
 
 
 def evaluate_corpus(
-    config: RunConfig,
-    manifest: qoe.VideoManifest | None = None,
-    test_traces: Sequence[traces.NetworkTrace] | None = None,
+    policies: Sequence[tuple[str, PolicyFactory]],
+    manifest: qoe.VideoManifest,
+    test_traces: Sequence[traces.NetworkTrace],
+    params: qoe.QoeParams,
+    sim_config: sim.SimConfig,
 ) -> EvalReport:
-    """Run every configured algorithm over every test trace.
+    """Run every named policy over every test trace.
 
-    Each algorithm drives all test sessions in lock step, one
-    ``sim.run_sessions`` call per algorithm.  Pass preloaded ``manifest``/``test_traces`` to skip file IO (the pipeline
-    does); otherwise they are loaded from the paths in the config.
+    Each factory builds its policy for the whole test corpus, which then
+    drives all test sessions in lock step, one ``sim.run_sessions`` call per
+    policy.  Report rows keep the order of ``policies``.
     """
-    if manifest is None or test_traces is None:
-        config.validate()
-        manifest = qoe.load_manifest(config.manifest_path)
-        test_traces = [traces.load_trace_file(p) for p in config.test_trace_paths]
-    if not config.algorithms:
+    if not policies:
         raise HarnessError("at least one algorithm is required")
     if not test_traces:
         raise HarnessError("no test traces")
@@ -240,16 +269,15 @@ def evaluate_corpus(
     aggregates: list[AlgorithmAggregate] = []
     cdf: dict[str, dict[str, list[float]]] = {}
     seconds: list[float] = []
-    for spec in config.algorithms:
+    for name, factory in policies:
         start = time.perf_counter()
-        factory = make_policy_factory(spec, manifest, config.qoe_params, config.sim_config, config.dp_config)
-        logs = sim.run_sessions(factory(test_traces), manifest, test_traces, config.sim_config, config.qoe_params)
-        rows = [summarize_session(spec.name, log, config.qoe_params) for log in logs]
+        logs = sim.run_sessions(factory(test_traces), manifest, test_traces, sim_config, params)
+        rows = [summarize_session(name, log, params) for log in logs]
         sessions.extend(rows)
         means = np.array([r.mean_qoe for r in rows])
         aggregates.append(
             AlgorithmAggregate(
-                algorithm=spec.name,
+                algorithm=name,
                 mean_qoe=float(means.mean()),
                 std_qoe=float(means.std()),
                 utility=float(np.mean([r.utility for r in rows])),
@@ -259,7 +287,7 @@ def evaluate_corpus(
             )
         )
         ordered = np.sort(means)
-        cdf[spec.name] = {
+        cdf[name] = {
             "qoe": [float(v) for v in ordered],
             "fraction": [float((i + 1) / len(ordered)) for i in range(len(ordered))],
         }
@@ -344,11 +372,18 @@ class SweepContext:
             self._models[key] = trained
         return self._models[key]
 
-    def evaluate_model(self, model: dt.DtModel, stats_window: int) -> tuple[float, float]:
-        policy = dt.DtPolicy(model, self.estimator_model, stats_window)
-        logs = sim.run_sessions(policy, self.manifest, self.test_traces, self.sim_config, self.params)
-        arr = np.asarray([summarize_session("dt", log, self.params).mean_qoe for log in logs])
-        return float(arr.mean()), float(arr.std())
+    def policies(
+        self, names: Sequence[str], model: dt.DtModel, stats_window: int
+    ) -> list[tuple[str, PolicyFactory]]:
+        """A named policy factory per algorithm; dt decides with ``model`` over an L=``stats_window`` window."""
+
+        def factory(name: str) -> PolicyFactory:
+            if name == "dt":
+                return lambda corpus: dt.DtPolicy(model, self.estimator_model, stats_window)
+            spec = AlgorithmSpec(name)
+            return make_policy_factory(spec, self.manifest, self.params, self.sim_config, self.dp_config)
+
+        return [(name, factory(name)) for name in names]
 
 
 @dataclass
@@ -374,9 +409,9 @@ def ablation_sweep(parameter: str, values: Sequence[int], ctx: SweepContext) -> 
             k, window = int(value), ctx.stats_window
         else:
             k, window = ctx.dt_config.context_len, int(value)
-        model = ctx.model(k, window)
-        mean, std = ctx.evaluate_model(model, window)
-        rows.append(SweepRow(parameter=parameter, value=int(value), mean_qoe=mean, std_qoe=std))
+        policies = ctx.policies(["dt"], ctx.model(k, window), window)
+        agg = evaluate_corpus(policies, ctx.manifest, ctx.test_traces, ctx.params, ctx.sim_config).aggregates[0]
+        rows.append(SweepRow(parameter=parameter, value=int(value), mean_qoe=agg.mean_qoe, std_qoe=agg.std_qoe))
     return rows
 
 
@@ -480,26 +515,7 @@ def run_pipeline(config: PipelineConfig, output_dir: str | Path) -> tuple[EvalRe
     """Full deterministic pass: synthesize, train, evaluate, emit report."""
     ctx = build_pipeline_context(config)
     model = ctx.model(config.context_len, config.stats_window)
-    algorithms = []
-    for name in config.algorithms:
-        settings: dict = {}
-        if name == "dt":
-            settings = {
-                "model": model,
-                "estimator_model": ctx.estimator_model,
-                "stats_window": config.stats_window,
-            }
-        algorithms.append(AlgorithmSpec(name, settings))
-    run_cfg = RunConfig(
-        manifest_path="<in-memory>",
-        test_trace_paths=[],
-        algorithms=algorithms,
-        qoe_params=ctx.params,
-        sim_config=ctx.sim_config,
-        dp_config=ctx.dp_config,
-        seed=config.seed,
-        output_dir=str(output_dir),
-    )
-    report = evaluate_corpus(run_cfg, manifest=ctx.manifest, test_traces=ctx.test_traces)
+    policies = ctx.policies(config.algorithms, model, config.stats_window)
+    report = evaluate_corpus(policies, ctx.manifest, ctx.test_traces, ctx.params, ctx.sim_config)
     paths = emit_report(report, output_dir)
     return report, paths

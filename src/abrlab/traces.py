@@ -1,4 +1,4 @@
-"""Network trace ingest, filtering, and synthesis.
+"""Network trace ingest and synthesis.
 
 Traces are piecewise-constant bandwidth signals: each sample's throughput
 holds from its timestamp until the next sample's timestamp.  The final
@@ -18,9 +18,6 @@ import numpy as np
 # Floor applied to synthetic throughput draws, Mbps.  A Gaussian can go
 # non-positive; the fluid download model needs strictly positive bandwidth.
 SYNTHETIC_FLOOR_MBPS = 0.05
-
-FILTER_MAX_MEAN_MBPS = 6.0
-FILTER_MIN_THROUGHPUT_MBPS = 0.2
 
 
 class TraceError(ValueError):
@@ -59,12 +56,6 @@ class NetworkTrace:
     def duration_s(self) -> float:
         return float(self.times_s[-1])
 
-    def mean_mbps(self) -> float:
-        return float(np.mean(self.throughput_mbps))
-
-    def min_mbps(self) -> float:
-        return float(np.min(self.throughput_mbps))
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -89,12 +80,6 @@ class SyntheticSpec:
 class TraceCorpus:
     train: list[NetworkTrace]
     test: list[NetworkTrace]
-
-
-@dataclass(frozen=True)
-class FilterDecision:
-    accepted: bool
-    reason: str
 
 
 def parse_cooked_trace(text: str, source_tag: str = "") -> NetworkTrace:
@@ -138,17 +123,6 @@ def load_trace_file(path: str | Path) -> NetworkTrace:
 
 def save_trace_file(trace: NetworkTrace, path: str | Path) -> None:
     Path(path).write_text(serialize_cooked_trace(trace), encoding="utf-8")
-
-
-def filter_trace(trace: NetworkTrace) -> FilterDecision:
-    """Accept iff mean throughput < 6 Mbps and minimum throughput > 0.2 Mbps."""
-    mean = trace.mean_mbps()
-    low = trace.min_mbps()
-    if mean >= FILTER_MAX_MEAN_MBPS:
-        return FilterDecision(False, f"mean throughput {mean:.3f} Mbps >= {FILTER_MAX_MEAN_MBPS}")
-    if low <= FILTER_MIN_THROUGHPUT_MBPS:
-        return FilterDecision(False, f"min throughput {low:.3f} Mbps <= {FILTER_MIN_THROUGHPUT_MBPS}")
-    return FilterDecision(True, "ok")
 
 
 def gen_synthetic_trace(spec: SyntheticSpec) -> NetworkTrace:

@@ -1,7 +1,16 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread per test process, set before numpy loads OpenBLAS.  Sequence-model training
+# already runs its parameter gradients on a helper thread beside the main one; OpenBLAS worker
+# threads on top of those two spin for work, and on shared cores (a second process, another test
+# run) a training step then slows about fivefold, against a few percent with one BLAS thread.
+# Trained weights are the same bit for bit either way.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

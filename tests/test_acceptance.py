@@ -308,24 +308,8 @@ def test_criterion_06_dt_trainability(desk):
 def _ordering_report(desk) -> harness.EvalReport:
     ctx = desk.ctx
     model = ctx.model(desk.config.context_len, desk.config.stats_window)
-    run_cfg = harness.RunConfig(
-        manifest_path="<mem>",
-        test_trace_paths=[],
-        algorithms=[
-            harness.AlgorithmSpec("bb"),
-            harness.AlgorithmSpec("rb"),
-            harness.AlgorithmSpec(
-                "dt",
-                {"model": model, "estimator_model": ctx.estimator_model, "stats_window": desk.config.stats_window},
-            ),
-            harness.AlgorithmSpec("dp"),
-        ],
-        qoe_params=ctx.params,
-        sim_config=ctx.sim_config,
-        dp_config=ctx.dp_config,
-        seed=desk.config.seed,
-    )
-    return harness.evaluate_corpus(run_cfg, manifest=ctx.manifest, test_traces=ctx.test_traces)
+    policies = ctx.policies(("bb", "rb", "dt", "dp"), model, desk.config.stats_window)
+    return harness.evaluate_corpus(policies, ctx.manifest, ctx.test_traces, ctx.params, ctx.sim_config)
 
 
 def test_criterion_07_end_to_end_ordering(desk):

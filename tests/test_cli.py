@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from abrlab import cli, estimator as est, expert, qoe, service, traces
+from abrlab import cli, estimator as est, expert, harness, qoe, service, traces
 
 
 def run(argv) -> int:
@@ -213,6 +213,26 @@ def test_sweep_refuses_bad_input(sweep_lab, tmp_path, capsys, algorithms, parame
     assert not (tmp_path / "sweep").exists()
 
 
+def test_sweep_takes_stats_window_from_dt_entry(sweep_lab, tmp_path, monkeypatch, capsys):
+    """A K sweep trains and decides with the dt entry's stats_window, as eval does, not with L=4."""
+    windows = []
+    sweep = harness.ablation_sweep
+
+    def spy(parameter, values, ctx):
+        windows.append(ctx.stats_window)
+        return sweep(parameter, values, ctx)
+
+    monkeypatch.setattr(harness, "ablation_sweep", spy)
+    cfg = {"manifest": str(sweep_lab / "manifest.json"), "corpus_index": str(sweep_lab / "traces" / "corpus.json"),
+           "algorithms": [{"name": "dt", "estimator": str(sweep_lab / "estimator.npz"), "stats_window": 2}],
+           "dp": {"dominance_prune": True}}
+    assert run(["sweep", "--config", _run_config(tmp_path, cfg), "--parameter", "K", "--values", "1,2",
+                "--steps", "2", "--seed", "4"]) == 0
+    assert windows == [2]
+    assert [row["value"] for row in json.loads((tmp_path / "out" / "sweep_K.json").read_text())] == [1, 2]
+    capsys.readouterr()
+
+
 def _run_config(tmp_path, doc) -> str:
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict(doc, output_dir=str(tmp_path / "out"))))
@@ -267,10 +287,13 @@ def test_cli_refuses_missing_input(sweep_lab, tmp_path, capsys, case):
     ("sim", {"bogus_key": 1}, "bogus_key"),
     ("dp", {"bogus_key": 1}, "bogus_key"),
     ("qoe", 5, "'qoe' must be an object"),
+    ("algorithms", [{"name": "bb", "reservoir": 6}], "'reservoir'"),
+    ("algorithms", [{"name": "dt", "model": "dt.npz", "estimator_model": "est.npz"}], "'estimator_model', 'model'"),
+    ("algorithms", [{"name": "bogus"}], "'bogus'"),
 ])
 def test_eval_refuses_unknown_config_key(sweep_lab, tmp_path, capsys, section, value, named):
-    """A qoe, sim or dp key the lab does not know, or a section that is no object, exits with status 2,
-    names it, and writes nothing."""
+    """A qoe, sim or dp key the lab does not know, an algorithm setting the algorithm does not read, or a
+    section that is no object, exits with status 2, names it, and writes nothing."""
     config = _run_config(tmp_path, {"manifest": str(sweep_lab / "manifest.json"), "algorithms": [{"name": "bb"}],
                                     "corpus_index": str(sweep_lab / "traces" / "corpus.json"), section: value})
     assert run(["eval", "--config", config]) == 2

@@ -33,18 +33,19 @@ def eval_setup():
     return manifest, test_traces
 
 
-def run_config(algorithms, seed=0):
-    return RunConfig(
-        manifest_path="<mem>",
-        test_trace_paths=[],
-        algorithms=algorithms,
-        seed=seed,
-    )
+def evaluate(names, manifest, test_traces):
+    """``evaluate_corpus`` of the named algorithms as ``make_policy_factory`` builds them, at default settings."""
+    params, sim_config = qoe.QoeParams(), sim.SimConfig()
+    policies = [
+        (name, harness.make_policy_factory(AlgorithmSpec(name), manifest, params, sim_config, expert.DpConfig()))
+        for name in names
+    ]
+    return evaluate_corpus(policies, manifest, test_traces, params, sim_config)
 
 
 def test_single_algorithm_single_trace(eval_setup):
     manifest, test_traces = eval_setup
-    report = evaluate_corpus(run_config([AlgorithmSpec("bb")]), manifest, test_traces[:1])
+    report = evaluate(["bb"], manifest, test_traces[:1])
     assert len(report.sessions) == 1
     assert report.sessions[0].algorithm == "bb"
     assert report.aggregates[0].session_count == 1
@@ -53,20 +54,19 @@ def test_single_algorithm_single_trace(eval_setup):
 def test_empty_algorithms_rejected(eval_setup):
     manifest, test_traces = eval_setup
     with pytest.raises(HarnessError):
-        evaluate_corpus(run_config([]), manifest, test_traces)
+        evaluate([], manifest, test_traces)
 
 
 def test_missing_checkpoint_names_algorithm(eval_setup):
     manifest, test_traces = eval_setup
     spec = AlgorithmSpec("dt", {"checkpoint": "/nope/dt.npz", "estimator": "/nope/est.npz"})
     with pytest.raises(HarnessError, match="dt"):
-        evaluate_corpus(run_config([spec]), manifest, test_traces)
+        harness.make_policy_factory(spec, manifest, qoe.QoeParams(), sim.SimConfig(), expert.DpConfig())
 
 
 def test_dp_row_dominates(eval_setup):
     manifest, test_traces = eval_setup
-    config = run_config([AlgorithmSpec("dp"), AlgorithmSpec("bb"), AlgorithmSpec("rb")])
-    report = evaluate_corpus(config, manifest, test_traces)
+    report = evaluate(["dp", "bb", "rb"], manifest, test_traces)
     by_name = {a.algorithm: a for a in report.aggregates}
     tolerance = 0.25  # planner discretization slack per session mean
     assert by_name["dp"].mean_qoe >= by_name["bb"].mean_qoe - tolerance
@@ -75,8 +75,7 @@ def test_dp_row_dominates(eval_setup):
 
 def test_report_identity_and_roundtrip(tmp_path, eval_setup):
     manifest, test_traces = eval_setup
-    config = run_config([AlgorithmSpec("bb"), AlgorithmSpec("rb"), AlgorithmSpec("mpc")])
-    report = evaluate_corpus(config, manifest, test_traces)
+    report = evaluate(["bb", "rb", "mpc"], manifest, test_traces)
     for agg in report.aggregates:
         assert agg.mean_qoe == pytest.approx(
             agg.utility - agg.rebuffer_penalty - agg.smoothness_penalty, abs=1e-9
@@ -126,15 +125,13 @@ def pinned_setup():
 
 def test_pinned_aggregate_rows(pinned_setup):
     manifest, test_traces, model, estimator_model = pinned_setup
-    settings = {"dt": {"model": model, "estimator_model": estimator_model, "stats_window": 4}}
-    config = RunConfig(
-        manifest_path="<mem>",
-        test_trace_paths=[],
-        algorithms=[AlgorithmSpec(name, settings.get(name, {})) for name in PINNED_ROWS],
-        sim_config=PIN_SIM,
-        dp_config=PIN_DP,
-    )
-    report = evaluate_corpus(config, manifest, test_traces)
+    params = qoe.QoeParams()
+    policies = [
+        (name, harness.make_policy_factory(AlgorithmSpec(name), manifest, params, PIN_SIM, PIN_DP))
+        for name in ("bb", "rb", "mpc", "dp")
+    ]
+    policies.append(("dt", lambda corpus: dt.DtPolicy(model, estimator_model, 4)))
+    report = evaluate_corpus(policies, manifest, test_traces, params, PIN_SIM)
     rows = {
         a.algorithm: (a.mean_qoe, a.std_qoe, a.utility, a.rebuffer_penalty, a.smoothness_penalty, a.session_count)
         for a in report.aggregates
@@ -183,7 +180,7 @@ def test_run_config_validation(tmp_path):
         algorithms=[AlgorithmSpec("bb")],
     )
     with pytest.raises(HarnessError, match="missing"):
-        config.validate()
+        harness.load_inputs(config)
 
 
 def test_load_run_config(tmp_path):
@@ -203,10 +200,11 @@ def test_load_run_config(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(doc))
     config = harness.load_run_config(cfg_path)
-    config.validate()
     assert config.algorithms[0].settings == {"reservoir_s": 6.0}
     assert config.qoe_params.rebuffer_penalty == 3.0
-    report = evaluate_corpus(config)
+    inputs = harness.load_inputs(config)
+    policies = harness.run_policies(config, inputs.manifest)
+    report = evaluate_corpus(policies, inputs.manifest, inputs.test_traces, config.qoe_params, config.sim_config)
     assert len(report.sessions) == 1
 
 

@@ -9,7 +9,6 @@ from abrlab.traces import (
     SyntheticSpec,
     TraceError,
     TraceParseError,
-    filter_trace,
     gen_switching_trace,
     gen_synthetic_trace,
     parse_cooked_trace,
@@ -61,17 +60,6 @@ def test_parse_serialize_roundtrip(steps, bws):
     again = parse_cooked_trace(serialize_cooked_trace(trace))
     assert np.array_equal(again.times_s, trace.times_s)
     assert np.array_equal(again.throughput_mbps, trace.throughput_mbps)
-
-
-def test_filter_rules():
-    assert not filter_trace(constant_trace(7.0)).accepted
-    assert "mean" in filter_trace(constant_trace(7.0)).reason
-    assert filter_trace(constant_trace(1.0)).accepted
-    dipping = traces.NetworkTrace(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.1, 1.0]))
-    decision = filter_trace(dipping)
-    assert not decision.accepted and "min" in decision.reason
-    # idempotent / pure
-    assert filter_trace(dipping) == decision
 
 
 def test_gen_zero_variance_constant():
