@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qoe import QoeParams, VideoManifest
+from .qoe import QoeParams, VideoManifest, level_terms
 from .sim import Observation, SessionState, SimConfig, stall_s, throughput_history, transition
 
 
@@ -147,12 +147,9 @@ def mpc_first_levels(
     if horizon <= 0:
         raise ValueError("session already complete")
     B, n_lv = len(states), len(manifest.ladder)
-    q_lv = params.quality_scale * np.asarray(manifest.ladder.levels)
+    q_lv, switch = level_terms(manifest.ladder, params)
     rate_bits = np.asarray(forecasts_mbps, dtype=np.float64)[:, None, None] * 1e6
-    has_prev = np.array([s.last_level is not None for s in states])[:, None, None]
-    q_prev = np.array([0.0 if s.last_level is None else q_lv[s.last_level] for s in states])[:, None, None]
-    # Smoothness penalty of a child level (column) after its parent's level (row).
-    switch_penalty = params.smooth_penalty * np.abs(q_lv - q_lv[:, None])
+    prev_rows = [0 if s.last_level is None else s.last_level + 1 for s in states]
     buffer_s = np.array([s.buffer_s for s in states])[:, None]
     value = np.zeros((B, 1))
     for i in range(horizon):
@@ -172,10 +169,10 @@ def mpc_first_levels(
             term *= params.rebuffer_penalty
         np.subtract(q_lv, term, out=term)
         if i == 0:  # against each session's last level, if it has one
-            term -= params.smooth_penalty * np.where(has_prev, np.abs(q_lv - q_prev), 0.0)
+            term -= switch[prev_rows][:, None]
         else:  # against the parent node's level, the same for every session
             by_parent = term.reshape(B, -1, n_lv, n_lv)  # (B, grandparents, parent level, level), a view
-            by_parent -= switch_penalty
+            by_parent -= switch[1:]
         term += value[:, :, None]
         value, buffer_s = term.reshape(B, -1), buffer_s.reshape(B, -1)
     # argmax takes the first maximum: leaves are in ascending lexicographic

@@ -6,6 +6,14 @@ artifact the lab rejects) exits with status 2 and one line on stderr.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the caller set one, before anything imports numpy: training runs its
+# parameter gradients on a helper thread beside the main one, and BLAS worker threads on top of
+# those two spin for work and slow a step about fivefold on shared cores.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import json
 import sys

@@ -315,14 +315,11 @@ def _loss_and_grads(
 ) -> float:
     """Cross-entropy over every timestep of the segment batch, with backward; ``caches`` as in ``_forward``.
 
-    The backward runs the ``dx`` chain on the calling thread and every parameter-gradient
-    accumulation on one helper thread (the lane), in the order the layers hand them over.
-    ``train_dt`` passes one lane for all its steps; without one, the step opens its own.
+    The backward runs the ``dx`` chain on the calling thread and, given a ``lane``, every
+    parameter-gradient accumulation on that one helper thread, in the order the layers hand
+    them over; without one, they run inline.  ``train_dt`` passes one lane for all its steps.
     Every lane task of the step has finished before it returns or raises, so every
     ``Param.grad`` is complete and a lane exception is raised here."""
-    if lane is None:
-        with _grad_lane() as own:
-            return _loss_and_grads(model, t, o, r, a, train, rng, caches, own)
     caches = {} if caches is None else caches
     cfg = model.config
     dtype = model.head.w.value.dtype
@@ -333,10 +330,7 @@ def _loss_and_grads(
         logits.reshape(B * K, cfg.action_count), a.reshape(B * K, cfg.action_count).astype(dtype)
     )
     futures: list[Future] = []
-
-    def defer(grads) -> None:
-        futures.append(lane.submit(grads))
-
+    defer = None if lane is None else lambda grads: futures.append(lane.submit(grads))
     try:
         dx = model.head.backward(caches["head"], dlogits.reshape(B, K, cfg.action_count), defer)
         dx = model.ln_f.backward(caches["ln_f"], dx, defer)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qoe import QoeParams, VideoManifest, quality
+from .qoe import QoeParams, VideoManifest, level_terms
 from .sim import BandwidthProfile, SessionLog, SessionState, SimConfig, run_sessions, transition
 from .traces import NetworkTrace
 from . import estimator as est
@@ -102,10 +102,7 @@ def dp_plan(
 
     profile = BandwidthProfile(trace, sim_config.link_efficiency)
     n_lv = len(manifest.ladder)
-    q_lv = np.array([quality(r, params) for r in manifest.ladder.levels])
-    # Smoothness penalty lookup; row 0 is the no-previous-chunk sentinel.
-    smooth = np.zeros((n_lv + 1, n_lv))
-    smooth[1:, :] = params.smooth_penalty * np.abs(q_lv[:, None] - q_lv[None, :])
+    q_lv, smooth = level_terms(manifest.ladder, params)  # smooth row 0: no previous chunk
 
     dq_b = dp_config.buffer_quantum_s
     dq_t = dp_config.time_quantum_s

@@ -54,7 +54,7 @@ class Param:
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], gain: float = 1.0, dtype=np.float32) -> np.ndarray:
     """Scaled uniform initialization over +-sqrt(6 / (fan_in + fan_out))."""
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
+    fan_in = shape[0]
     fan_out = shape[1] if len(shape) > 1 else shape[0]
     limit = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
@@ -102,9 +102,6 @@ class ReLU:
 
     def backward(self, mask: np.ndarray, dy: np.ndarray) -> np.ndarray:
         return dy * mask
-
-    def params(self) -> list[Param]:
-        return []
 
 
 class LayerNorm:
@@ -188,9 +185,6 @@ class Dropout:
 
     def backward(self, mask: np.ndarray | None, dy: np.ndarray) -> np.ndarray:
         return dy if mask is None else dy * mask
-
-    def params(self) -> list[Param]:
-        return []
 
 
 class CausalSelfAttention:

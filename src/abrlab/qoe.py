@@ -154,24 +154,22 @@ def chunk_qoe(
     if rebuffer_s < 0:
         raise QoeError("rebuffer_s must be non-negative")
     q = quality(r_curr, params)
-    return _score(q, None if r_prev is FIRST_CHUNK else quality(r_prev, params), rebuffer_s, params)
-
-
-def chunk_qoe_batch(r_curr: np.ndarray, r_prev: np.ndarray | None, rebuffer_s, params: QoeParams) -> np.ndarray:
-    """``chunk_qoe`` of B chunks, elementwise on (B,) arrays and bit for bit.
-
-    ``r_prev`` is ``FIRST_CHUNK`` when every chunk is its session's first.
-    Nothing is validated: ladder bitrates are positive and simulated
-    rebuffer times non-negative by construction.
-    """
-    q_prev = None if r_prev is FIRST_CHUNK else params.quality_scale * r_prev
-    return _score(params.quality_scale * r_curr, q_prev, rebuffer_s, params)
-
-
-def _score(q, q_prev, rebuffer_s, params: QoeParams):
-    """Utility minus the rebuffer penalty and the smoothness penalty against ``q_prev`` (none if None)."""
-    smooth = 0.0 if q_prev is None else abs(q - q_prev)
+    smooth = 0.0 if r_prev is FIRST_CHUNK else abs(q - quality(r_prev, params))
     return q - params.rebuffer_penalty * rebuffer_s - params.smooth_penalty * smooth
+
+
+def level_terms(ladder: BitrateLadder, params: QoeParams) -> tuple[np.ndarray, np.ndarray]:
+    """The ladder's chunk-score terms: ``utility`` (n,) and the switch table ``switch`` (n + 1, n).
+
+    Row 0 of ``switch`` is a session's first chunk and is all zeros; row p + 1
+    holds the smoothness penalty of level l after level p.  A chunk at level l
+    with ``rebuffer_s`` of stall scores ``utility[l] - rebuffer_penalty *
+    rebuffer_s - switch[p + 1, l]``, bit for bit ``chunk_qoe``.
+    """
+    utility = params.quality_scale * np.asarray(ladder.levels)
+    switch = np.zeros((len(utility) + 1, len(utility)))
+    switch[1:] = params.smooth_penalty * np.abs(utility - utility[:, None])
+    return utility, switch
 
 
 def session_qoe(records: Sequence[ChunkRecord], params: QoeParams) -> SessionQoe:

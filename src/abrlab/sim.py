@@ -19,14 +19,11 @@ moves them all; ``run_policy`` and ``step`` are its one-trace cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
-
-import json
 
 import numpy as np
 
-from .qoe import ChunkRecord, QoeParams, VideoManifest, chunk_qoe_batch
+from .qoe import ChunkRecord, QoeParams, VideoManifest, level_terms
 from .traces import NetworkTrace
 
 # Throughput assumed before any download has been measured: the first
@@ -322,9 +319,9 @@ def _step_sessions(
         np.array([s.buffer_s for s in states]), d, first, manifest.chunk_duration_s, config.buffer_cap_s
     )
     throughput = size_bits / d / 1e6
-    rates = np.array(manifest.ladder.levels)
-    prev = None if states[0].last_level is None else rates[[s.last_level for s in states]]
-    qoe = chunk_qoe_batch(rates[level_idx], prev, rebuffer, params)
+    utility, switch = level_terms(manifest.ladder, params)
+    prev_rows = 0 if states[0].last_level is None else np.array([s.last_level for s in states]) + 1
+    qoe = utility[level_idx] - params.rebuffer_penalty * rebuffer - switch[prev_rows, level_idx]
 
     download, measured, buffer, slept, score = (a.tolist() for a in (d, throughput, buffer_after, sleep, qoe))
     rebuffered = [0.0] * len(states) if first else rebuffer.tolist()
@@ -434,10 +431,3 @@ def run_policy(
 ) -> SessionLog:
     """Drive one full session under ``policy``: ``run_sessions`` over one trace."""
     return run_sessions(policy, manifest, [trace], config, params)[0]
-
-
-def save_session_log(log: SessionLog, path: str | Path) -> None:
-    """One ChunkRecord per line, JSON-encoded."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in log.records:
-            fh.write(json.dumps(rec.__dict__, sort_keys=True) + "\n")

@@ -2,16 +2,37 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import abrlab
 from abrlab import cli, estimator as est, expert, harness, qoe, service, traces
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run(argv) -> int:
     return cli.main(argv)
+
+
+@pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": "2"}])
+def test_cli_pins_one_blas_thread_unless_set(preset):
+    """Importing the CLI sets each unset BLAS thread count to 1 and keeps an explicit one."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = str(Path(abrlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env["PYTHONPATH"]]) if env.get("PYTHONPATH") else src
+    code = "import os, sys, abrlab.cli; print(*(os.environ[v] for v in sys.argv[1:]))"
+    out = subprocess.run(
+        [sys.executable, "-c", code, *BLAS_THREAD_VARS], env={**env, **preset},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == [preset.get(v, "1") for v in BLAS_THREAD_VARS]
 
 
 def test_cli_full_workflow(tmp_path, capsys):
@@ -66,7 +87,10 @@ def test_cli_full_workflow(tmp_path, capsys):
         capsys.readouterr().out.splitlines()[-1],
     )
     assert match
-    assert abs(float(match.group(3)) / float(match.group(2)) - 96) <= 0.01 * 96
+    # Each printed figure is rounded to its last digit: the wall time to 1 ms, steps/s to 0.1, tokens/s to 1.
+    seconds, steps_per_s, tokens_per_s = (float(g) for g in match.groups())
+    for printed, work, half_unit in ((steps_per_s, 5, 0.05), (tokens_per_s, 5 * 96, 0.5)):
+        assert work / (seconds + 0.0005) - half_unit - 1e-9 <= printed <= work / (seconds - 0.0005) + half_unit + 1e-9
 
     run_cfg = {
         "manifest": str(manifest_path),

@@ -207,7 +207,8 @@ def test_lane_backward_matches_inline_bit_for_bit():
     t, o, r, a = dt._gather_batch(trajs, index, np.random.default_rng(4).integers(0, len(index), 16), config.context_len)
     lane_model = DtModel(config, seed=6)
     inline_model = copy.deepcopy(lane_model)
-    lane_loss = dt._loss_and_grads(lane_model, t, o, r, a, train=True, rng=np.random.default_rng(8))
+    with dt._grad_lane() as lane:
+        lane_loss = dt._loss_and_grads(lane_model, t, o, r, a, train=True, rng=np.random.default_rng(8), lane=lane)
     assert lane_loss == inline_loss_and_grads(inline_model, t, o, r, a, np.random.default_rng(8))
     for p, q in zip(lane_model.params(), inline_model.params()):
         assert np.any(p.grad != 0.0), p.name
@@ -220,8 +221,8 @@ def test_lane_exception_propagates_and_leaves_no_thread():
     model = DtModel(TINY, seed=0)
     model.head.w.grad.flags.writeable = False  # the head's weight-gradient closure raises on the lane
     threads = threading.active_count()
-    with pytest.raises(ValueError, match="read-only"):
-        dt._loss_and_grads(model, t, o, r, a, train=False, rng=None)
+    with dt._grad_lane() as lane, pytest.raises(ValueError, match="read-only"):
+        dt._loss_and_grads(model, t, o, r, a, train=False, rng=None, lane=lane)
     assert threading.active_count() == threads
 
 

@@ -37,6 +37,19 @@ def test_chunk_qoe_substitution(params):
         qoe.chunk_qoe(300, 300, -0.5, params)
 
 
+@pytest.mark.parametrize("levels", [qoe.DEFAULT_LADDER_KBPS, (100.0, 333.3, 1000.0, 1007.5, 7777.7)])
+def test_level_terms_score_every_chunk_as_chunk_qoe(params, levels):
+    ladder = BitrateLadder(levels)
+    utility, switch = qoe.level_terms(ladder, params)
+    assert utility.shape == (len(ladder),) and switch.shape == (len(ladder) + 1, len(ladder))
+    assert np.all(switch[0] == 0.0)
+    for row, prev in enumerate([FIRST_CHUNK, *ladder.levels]):
+        for level, kbps in enumerate(ladder.levels):
+            for rebuffer in (0.0, 0.37, 5.0):
+                table = utility[level] - params.rebuffer_penalty * rebuffer - switch[row, level]
+                assert table == qoe.chunk_qoe(kbps, prev, rebuffer, params)
+
+
 def test_chunk_qoe_monotone_in_bitrate(params, ladder):
     values = [qoe.chunk_qoe(r, r, 0.5, params) for r in ladder.levels]
     assert values == sorted(values)

@@ -171,14 +171,6 @@ def test_observation_vector_layout(small_manifest, fast_trace):
     assert vec[9] == obs.remaining_frac
 
 
-def test_session_log_export(tmp_path, small_manifest, fast_trace):
-    log = sim.run_policy(lambda s, o: 0, small_manifest, fast_trace)
-    path = tmp_path / "session.jsonl"
-    sim.save_session_log(log, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == small_manifest.chunk_count
-
-
 def test_transition_arrays_match_scalars():
     rng = np.random.default_rng(5)
     cap, dur = 12.0, 4.0
