@@ -1,9 +1,10 @@
 """Rule-based comparison policies: buffer-based, rate-based, and robust MPC.
 
-Robust MPC (Yin et al., SIGCOMM 2015) searches its lookahead horizon as a
-prefix tree over (sessions, prefixes) arrays, so one call decides for every
-session of a lock-step corpus run; ``robust_mpc_decide`` is its one-session
-case.
+Each policy decides every session of a lock-step corpus run in one
+``decide_batch`` call: the buffer and rate rules are elementwise over (B,)
+arrays, and robust MPC (Yin et al., SIGCOMM 2015) searches its lookahead
+horizon as a prefix tree over (sessions, prefixes) arrays, with
+``robust_mpc_decide`` its one-session case.
 """
 
 from __future__ import annotations
@@ -38,26 +39,21 @@ class MpcConfig:
             raise ValueError("horizon must be >= 1")
 
 
-def bb_decide(buffer_s: float, ladder, config: BbConfig = BbConfig()) -> int:
-    """Map buffer occupancy onto the ladder.
+def bb_decide(buffer_s, ladder, config: BbConfig = BbConfig()) -> np.ndarray:
+    """Map buffer occupancy onto the ladder, elementwise over (B,) buffers.
 
     Below the reservoir pick the lowest level; above reservoir + cushion pick
     the highest; in between, interpolate linearly between the lowest and
     highest bitrates and take the highest level not exceeding that value.
     """
-    if buffer_s < 0:
+    buffer_s = np.asarray(buffer_s, dtype=np.float64)
+    if not np.all(buffer_s >= 0):
         raise ValueError("buffer_s must be non-negative")
-    if buffer_s < config.reservoir_s:
-        return 0
-    if buffer_s > config.reservoir_s + config.cushion_s:
-        return len(ladder) - 1
     frac = (buffer_s - config.reservoir_s) / config.cushion_s
     target = ladder[0] + frac * (ladder[len(ladder) - 1] - ladder[0])
-    level = 0
-    for i in range(len(ladder)):
-        if ladder[i] <= target:
-            level = i
-    return level
+    level = np.maximum(np.searchsorted(ladder, target, side="right") - 1, 0)
+    level = np.where(buffer_s > config.reservoir_s + config.cushion_s, len(ladder) - 1, level)
+    return np.where(buffer_s < config.reservoir_s, 0, level)
 
 
 def harmonic_mean(values):
@@ -69,16 +65,12 @@ def harmonic_mean(values):
     return float(mean) if v.ndim == 1 else mean
 
 
-def rb_decide(predicted_throughput_mbps: float, ladder) -> int:
-    """Highest level whose bitrate fits the prediction; lowest if none do."""
-    if predicted_throughput_mbps <= 0:
+def rb_decide(predicted_throughput_mbps, ladder) -> np.ndarray:
+    """Highest level whose bitrate fits each prediction, elementwise; lowest if none do."""
+    predicted = np.asarray(predicted_throughput_mbps, dtype=np.float64)
+    if not np.all(predicted > 0):
         raise ValueError("prediction must be positive")
-    pred_kbps = predicted_throughput_mbps * 1000.0
-    level = 0
-    for i in range(len(ladder)):
-        if ladder[i] <= pred_kbps:
-            level = i
-    return level
+    return np.maximum(np.searchsorted(ladder, predicted * 1000.0, side="right") - 1, 0)
 
 
 def robust_mpc_decide(
@@ -111,15 +103,24 @@ def mpc_forecasts(histories, config: MpcConfig = MpcConfig()) -> np.ndarray:
 
 
 def _max_recent_error(history, config: MpcConfig) -> np.ndarray:
-    """Largest |predicted - actual| / actual the forecaster recently made, per history row."""
+    """Largest |predicted - actual| / actual the forecaster recently made, per history row.
+
+    The windows before each of the last ``error_window`` samples form one
+    (B, windows, pred_window) array, left-padded with +inf, whose inverses add
+    exact zeros.  numpy sums fewer than 8 terms in order, so with
+    ``pred_window`` < 8 each harmonic mean is bit for bit that of the window's
+    samples alone.
+    """
     h = np.asarray(history, dtype=np.float64)
-    n = h.shape[-1]
-    worst = np.zeros(h.shape[:-1])
-    for k in range(max(1, n - config.error_window), n):
-        predicted = harmonic_mean(h[..., max(0, k - config.pred_window):k])
-        actual = h[..., k]
-        worst = np.maximum(worst, np.abs(predicted - actual) / actual)
-    return worst
+    n, width = h.shape[-1], config.pred_window
+    ends = np.arange(max(1, n - config.error_window), n)
+    padded = np.concatenate((np.full(h.shape[:-1] + (width,), np.inf), h), axis=-1)
+    windows = padded[..., ends[:, None] + np.arange(width)]  # samples end - width .. end - 1
+    if np.any(windows <= 0):
+        raise ValueError("harmonic mean needs positive values")
+    predicted = np.minimum(ends, width) / np.sum(1.0 / windows, axis=-1)
+    actual = h[..., ends]
+    return np.max(np.abs(predicted - actual) / actual, axis=-1, initial=0.0)
 
 
 def mpc_first_levels(
@@ -185,8 +186,8 @@ class BufferBasedPolicy:
         self.ladder = ladder
         self.config = config
 
-    def __call__(self, state: SessionState, obs: Observation) -> int:
-        return bb_decide(obs.buffer_s, self.ladder, self.config)
+    def decide_batch(self, states: Sequence[SessionState], observations: Sequence[Observation]) -> list[int]:
+        return bb_decide([o.buffer_s for o in observations], self.ladder, self.config).tolist()
 
 
 class RateBasedPolicy:
@@ -196,9 +197,10 @@ class RateBasedPolicy:
         self.ladder = ladder
         self.pred_window = pred_window
 
-    def __call__(self, state: SessionState, obs: Observation) -> int:
-        history = throughput_history(state.measured_mbps)
-        return rb_decide(harmonic_mean(history[-self.pred_window:]), self.ladder)
+    def decide_batch(self, states: Sequence[SessionState], observations: Sequence[Observation]) -> list[int]:
+        """Levels for sessions deciding the same chunk, so their histories are equally long."""
+        recent = [throughput_history(s.measured_mbps)[-self.pred_window:] for s in states]
+        return rb_decide(harmonic_mean(recent), self.ladder).tolist()
 
 
 class RobustMpcPolicy:
@@ -216,12 +218,8 @@ class RobustMpcPolicy:
         self.config = config
         self.sim_config = sim_config
 
-    def __call__(self, state: SessionState, obs: Observation) -> int:
-        history = throughput_history(state.measured_mbps)
-        return robust_mpc_decide(state, self.manifest, history, self.config, self.params, self.sim_config)
-
     def decide_batch(self, states: Sequence[SessionState], observations: Sequence[Observation]) -> list[int]:
         """Levels for sessions deciding the same chunk, in one horizon search."""
         forecasts = mpc_forecasts([throughput_history(s.measured_mbps) for s in states], self.config)
         levels = mpc_first_levels(states, self.manifest, forecasts, self.config, self.params, self.sim_config)
-        return [int(level) for level in levels]
+        return levels.tolist()

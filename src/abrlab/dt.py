@@ -442,10 +442,10 @@ class DtPolicy:
 
     ``decide_batch`` serves every session of a lock-step run at once: it
     keeps one ``TrajectoryWindow`` of all sessions and their last levels, runs
-    ``est.qoe_to_go`` once on all sessions and ``decide`` once.  A plain call
-    is the one-session case.  The session's measured-throughput history
-    (``state.measured_mbps``) feeds the same estimate that expert
-    trajectories carry as their returns.
+    ``est.qoe_to_go`` once on all sessions and ``decide`` once.  Sessions at
+    chunk 0 start fresh windows, so one instance serves run after run.  The
+    session's measured-throughput history (``state.measured_mbps``) feeds the
+    same estimate that expert trajectories carry as their returns.
     """
 
     def __init__(
@@ -457,14 +457,8 @@ class DtPolicy:
         self.model = model
         self.estimator_model = estimator_model
         self.stats_window = stats_window
-        self.reset()
-
-    def reset(self) -> None:
-        self._window: TrajectoryWindow | None = None  # sized on the next call
-        self._levels: np.ndarray | None = None
-
-    def __call__(self, state: SessionState, obs: Observation) -> int:
-        return self.decide_batch([state], [obs])[0]
+        self._window = start_window(np.empty((0, model.config.obs_dim)), np.empty(0), [], model.config.context_len)
+        self._levels = np.empty(0, dtype=np.int64)
 
     def decide_batch(self, states: Sequence[SessionState], observations: Sequence[Observation]) -> list[int]:
         """Levels for sessions in lock step: one more timestep in every window."""
@@ -476,10 +470,9 @@ class DtPolicy:
             self.stats_window,
         )
         obs = np.stack([o.vector() for o in observations])
-        if self._window is None:
-            steps = [s.next_chunk for s in states]
-            self._window = start_window(obs, r_hat, steps, self.model.config.context_len)
+        if states[0].next_chunk == 0:
+            self._window = start_window(obs, r_hat, [0] * len(states), self.model.config.context_len)
         else:
             self._window = update_window(self._window, self._levels, obs, r_hat)
         self._levels = decide(self.model, self._window)
-        return [int(level) for level in self._levels]
+        return self._levels.tolist()

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import baselines, dt, estimator as est, expert, qoe, sim, traces
+from . import baselines, dt, estimator as est, expert, nn, qoe, sim, traces
 
 
 class HarnessError(ValueError):
@@ -227,7 +227,7 @@ def make_policy_factory(
         cfg = baselines.MpcConfig(**settings)
         return lambda corpus: baselines.RobustMpcPolicy(manifest, params, cfg, sim_config)
     if name == "dt":
-        model, estimator_model = _load_dt_bundle(settings)
+        model, estimator_model = _load_dt_bundle(settings, manifest)
         window = int(settings.get("stats_window", 4))
         return lambda corpus: dt.DtPolicy(model, estimator_model, window)
     if name == "dp":
@@ -238,13 +238,25 @@ def make_policy_factory(
     raise HarnessError(f"unknown algorithm {name!r}")
 
 
-def _load_dt_bundle(settings: dict):
+def _load_dt_bundle(settings: dict, manifest: qoe.VideoManifest):
+    """The sequence model and estimator of a dt entry, refusing a model that does not fit ``manifest``."""
     for key in ("checkpoint", "estimator"):
         if not isinstance(settings.get(key), str):
             raise HarnessError(f"algorithm 'dt': needs a '{key}' path")
         if not Path(settings[key]).exists():
             raise HarnessError(f"algorithm 'dt': missing {key} file {settings[key]!r}")
-    return dt.load_dt(settings["checkpoint"]), est.load_estimator(settings["estimator"])
+    arrays, meta = nn.load_checkpoint(settings["checkpoint"])
+    model, levels = dt.from_checkpoint(arrays, meta), manifest.ladder.levels
+    if tuple(meta.get("ladder_kbps", levels)) != levels or model.config.action_count != len(levels):
+        raise HarnessError(
+            f"algorithm 'dt': checkpoint of {model.config.action_count} actions and ladder "
+            f"{meta.get('ladder_kbps', '(not recorded)')} does not fit the manifest's ladder {list(levels)}"
+        )
+    if model.config.max_timestep < manifest.chunk_count:
+        raise HarnessError(
+            f"algorithm 'dt': checkpoint covers {model.config.max_timestep} of {manifest.chunk_count} chunks"
+        )
+    return model, est.load_estimator(settings["estimator"])
 
 
 def evaluate_corpus(

@@ -11,7 +11,7 @@ sleeps until the buffer drains to the cap, with the wall clock (and hence
 the trace) advancing during the sleep.  ``transition`` holds this buffer
 arithmetic once; the planner and the MPC rollout apply it to arrays.
 ``run_sessions`` is the one session loop: it advances every session of a
-corpus by one chunk per step, so a batch policy decides for all of them in
+corpus by one chunk per step, so the policy decides for all of them in
 one call, and one array step over a ``BandwidthProfile`` of all traces
 moves them all; ``run_policy`` and ``step`` are its one-trace cases.
 """
@@ -19,7 +19,7 @@ moves them all; ``run_policy`` and ``step`` are its one-trace cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -369,9 +369,6 @@ class SessionLog:
     trace_tag: str = ""
 
 
-Policy = Callable[[SessionState, Observation], int]
-
-
 def run_sessions(
     policy,
     manifest: VideoManifest,
@@ -381,29 +378,21 @@ def run_sessions(
 ) -> list[SessionLog]:
     """Drive one session per trace in lock step; deterministic with the inputs.
 
-    Every step advances each session by one chunk.  A policy with
+    Every step advances each session by one chunk: the policy's
     ``decide_batch(states, observations)`` picks the levels of all sessions
-    in one call; a plain ``Policy`` callable is applied per session.
-    Stateful policies may expose ``reset()``, called before the first chunk.
-    One array step over a BandwidthProfile of all traces advances every
-    session, and each session's log equals a run over its trace alone.
+    in one call, and one array step over a BandwidthProfile of all traces
+    moves them all.  Each session's log equals a run over its trace alone.
     """
     if not traces:
         return []
     states = [init_session(trace) for trace in traces]
     profile = BandwidthProfile(traces, config.link_efficiency)
-    reset = getattr(policy, "reset", None)
-    if reset is not None:
-        reset()
-    decide_batch = getattr(policy, "decide_batch", None) or (
-        lambda states, observations: [policy(s, o) for s, o in zip(states, observations)]
-    )
     n_levels = len(manifest.ladder)
     obs = [observe(manifest, state) for state in states]
     records: list[list[ChunkRecord]] = [[] for _ in traces]
     observations: list[list[Observation]] = [[] for _ in traces]
     for t in range(manifest.chunk_count):
-        levels = decide_batch(states, obs)
+        levels = policy.decide_batch(states, obs)
         if len(levels) != len(traces):
             raise SimError(f"policy returned {len(levels)} levels for {len(traces)} sessions at chunk {t}")
         for level in levels:
@@ -423,7 +412,7 @@ def run_sessions(
 
 
 def run_policy(
-    policy: Policy,
+    policy,
     manifest: VideoManifest,
     trace: NetworkTrace,
     config: SimConfig = SimConfig(),

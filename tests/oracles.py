@@ -8,7 +8,9 @@ aligned-instance generator produces manifests/traces whose download times,
 buffers, and wall clocks always land exactly on the planner's quantization
 grid, so planner totals must match enumeration to float round-off.  The flat
 robust-MPC rollout replays every level sequence of the horizon in full, with
-its own buffer update, as the reference for the prefix-tree search.  The
+its own buffer update, as the reference for the prefix-tree search, and the
+robust-MPC forecast takes one harmonic mean per past window, in a loop.
+The buffer- and rate-based levels walk the ladder one entry at a time.  The
 pairwise dominance check is the reference for the planner's grid prune.
 The reference sequence-model forward rebuilds the interleaved tokens from
 the raw window and runs every token through every block in float64, one
@@ -113,6 +115,44 @@ def flat_mpc_first_level(state, manifest, forecast_mbps, horizon, params, sim_co
         value += q - params.rebuffer_penalty * rebuffer - params.smooth_penalty * smooth
         q_prev = q
     return int(seqs[int(np.argmax(value)), 0])
+
+
+def bb_level(buffer_s: float, ladder, reservoir_s: float, cushion_s: float) -> int:
+    """Buffer-based level of one buffer, walking the ladder."""
+    if buffer_s < reservoir_s:
+        return 0
+    if buffer_s > reservoir_s + cushion_s:
+        return len(ladder) - 1
+    frac = (buffer_s - reservoir_s) / cushion_s
+    target = ladder[0] + frac * (ladder[len(ladder) - 1] - ladder[0])
+    level = 0
+    for i in range(len(ladder)):
+        if ladder[i] <= target:
+            level = i
+    return level
+
+
+def rb_level(predicted_mbps: float, ladder) -> int:
+    """Rate-based level of one prediction, walking the ladder."""
+    level = 0
+    for i in range(len(ladder)):
+        if ladder[i] <= predicted_mbps * 1000.0:
+            level = i
+    return level
+
+
+def mpc_forecast(history, pred_window: int, error_window: int) -> float:
+    """Robust-MPC forecast of one history: one harmonic mean per past window, in a loop."""
+    h = np.asarray(history, dtype=np.float64)
+
+    def harmonic(v):
+        return len(v) / np.sum(1.0 / v)
+
+    n = len(h)
+    worst = 0.0
+    for k in range(max(1, n - error_window), n):
+        worst = max(worst, abs(harmonic(h[max(0, k - pred_window):k]) - h[k]) / h[k])
+    return harmonic(h[-pred_window:]) / (1.0 + worst)
 
 
 @dataclass

@@ -372,7 +372,7 @@ def test_criterion_09_sim_conservation():
             ]
             trace = traces.gen_switching_trace(segs)
         levels = rng.integers(0, 6, size=chunks)
-        log = sim.run_policy(lambda s, o: int(levels[s.next_chunk]), manifest, trace)
+        log = sim.run_policy(expert.PlanFollower((levels.tolist(),)), manifest, trace)
         final = log.final_state
         time_gap = abs(final.wall_clock_s - (sum(r.download_s for r in log.records) + final.sleep_total_s))
         played = final.wall_clock_s - final.startup_delay_s - final.rebuffer_total_s

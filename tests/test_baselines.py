@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from abrlab import baselines, expert, qoe, sim, traces
 from abrlab.baselines import (
@@ -48,6 +48,49 @@ def test_rb_examples(ladder):
     assert rb_decide(100.0, ladder) == 5
     with pytest.raises(ValueError):
         rb_decide(0.0, ladder)
+
+
+# A ladder and bb config whose boundaries are exact in binary: buffers of 4
+# and 12 s sit at the reservoir and at reservoir + cushion (5 and 15 s with the
+# default config), buffers of 6 and 8 s give targets of exactly 200 and 300
+# kbps, a 0.3 Mbps prediction is exactly 300 kbps (an entry of both ladders),
+# 0.75 Mbps is exactly the default 750 kbps, and 0.05 Mbps is below both.
+EDGE_LADDER = BitrateLadder((100.0, 200.0, 300.0, 500.0))
+EDGE_BB = BbConfig(reservoir_s=4.0, cushion_s=8.0)
+EDGE_BUFFERS = (4.0, 5.0, 6.0, 8.0, 12.0, 15.0)
+EDGE_PREDICTIONS = (0.05, 0.3, 0.75)
+
+
+def test_edge_values_hit_their_boundaries():
+    frac = (np.array([6.0, 8.0]) - EDGE_BB.reservoir_s) / EDGE_BB.cushion_s
+    assert (EDGE_LADDER[0] + frac * (EDGE_LADDER[3] - EDGE_LADDER[0])).tolist() == [200.0, 300.0]
+    assert 0.3 * 1000.0 == 300.0 and 0.75 * 1000.0 in qoe.DEFAULT_LADDER_KBPS
+    with pytest.raises(ValueError):
+        bb_decide(np.array([3.0, -1.0]), EDGE_LADDER)
+    with pytest.raises(ValueError):
+        rb_decide(np.array([0.3, 0.0]), EDGE_LADDER)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(("edge", "default")),
+    st.lists(st.one_of(st.sampled_from(EDGE_BUFFERS), st.floats(0.0, 80.0)), min_size=1, max_size=16),
+    st.lists(st.one_of(st.sampled_from(EDGE_PREDICTIONS), st.floats(1e-3, 10.0)), min_size=1, max_size=16),
+)
+def test_array_rules_match_the_ladder_walk(which, buffers, predictions):
+    ladder, config = (EDGE_LADDER, EDGE_BB) if which == "edge" else (BitrateLadder(qoe.DEFAULT_LADDER_KBPS), BbConfig())
+    expected = [oracles.bb_level(b, ladder, config.reservoir_s, config.cushion_s) for b in buffers]
+    assert bb_decide(np.array(buffers), ladder, config).tolist() == expected
+    assert rb_decide(np.array(predictions), ladder).tolist() == [oracles.rb_level(p, ladder) for p in predictions]
+
+
+def test_mpc_forecasts_match_the_window_loop():
+    rng = np.random.default_rng(11)
+    for config in (MpcConfig(), MpcConfig(error_window=7, pred_window=3)):
+        for n in range(1, 13):
+            histories = rng.uniform(0.05, 8.0, (8, n))
+            expected = [oracles.mpc_forecast(h, config.pred_window, config.error_window) for h in histories]
+            assert baselines.mpc_forecasts(histories, config).tolist() == expected
 
 
 def test_harmonic_mean():
@@ -186,12 +229,12 @@ def test_rate_policies_are_stateless(small_manifest):
         lambda: baselines.RobustMpcPolicy(small_manifest),
     ):
         policy = make()
-        forward = [policy(s, o) for s, o in pairs]
-        backward = [policy(s, o) for s, o in reversed(pairs)][::-1]
-        fresh = [make()(s, o) for s, o in pairs]
+        forward = [policy.decide_batch([s], [o])[0] for s, o in pairs]
+        backward = [policy.decide_batch([s], [o])[0] for s, o in reversed(pairs)][::-1]
+        fresh = [make().decide_batch([s], [o])[0] for s, o in pairs]
         assert forward == backward == fresh
         assert not hasattr(policy, "reset")
     rb = baselines.RateBasedPolicy(small_manifest.ladder)
     for s, o in pairs:
         history = s.measured_mbps if s.measured_mbps else (1.0,)
-        assert rb(s, o) == rb_decide(harmonic_mean(history[-5:]), small_manifest.ladder)
+        assert rb.decide_batch([s], [o])[0] == rb_decide(harmonic_mean(history[-5:]), small_manifest.ladder)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import abrlab
-from abrlab import cli, estimator as est, expert, harness, qoe, service, traces
+from abrlab import cli, dt, estimator as est, expert, harness, qoe, service, traces
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -323,6 +323,34 @@ def test_eval_refuses_unknown_config_key(sweep_lab, tmp_path, capsys, section, v
     assert run(["eval", "--config", config]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("abrlab eval: ") and named in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+# Each case: the checkpoint's ladder (None: not recorded), its action count and
+# timestep span, the manifest's chunk count and ladder, and the reason given.
+MISFIT_CHECKPOINTS = {
+    "other-ladder": ((300.0, 750.0, 1200.0, 1850.0, 2850.0, 4300.0), 6, 48,
+                     6, (100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0), "and ladder [300.0, 750.0,"),
+    "action-count": (None, 4, 48, 6, qoe.DEFAULT_LADDER_KBPS, "4 actions and ladder (not recorded) does not fit"),
+    "max-timestep": (qoe.DEFAULT_LADDER_KBPS, 6, 8, 12, qoe.DEFAULT_LADDER_KBPS, "covers 8 of 12 chunks"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFIT_CHECKPOINTS))
+def test_eval_refuses_a_dt_checkpoint_that_does_not_fit_the_manifest(sweep_lab, tmp_path, capsys, case):
+    """The refusal comes before any algorithm runs: status 2, the reason on stderr, no report."""
+    recorded, actions, max_t, chunks, ladder, reason = MISFIT_CHECKPOINTS[case]
+    config = dt.DtConfig(embed_dim=8, blocks=1, action_count=actions, obs_dim=4 + actions, max_timestep=max_t)
+    dt.save_dt(dt.DtModel(config, seed=0), tmp_path / "dt.npz", recorded)
+    qoe.save_manifest(qoe.make_manifest(chunk_count=chunks, ladder_kbps=ladder), tmp_path / "manifest.json")
+    algorithms = [{"name": "bb"}, {"name": "dt", "checkpoint": str(tmp_path / "dt.npz"),
+                                   "estimator": str(sweep_lab / "estimator.npz")}]
+    cfg = _run_config(tmp_path, {"manifest": str(tmp_path / "manifest.json"), "algorithms": algorithms,
+                                 "corpus_index": str(sweep_lab / "traces" / "corpus.json")})
+    assert run(["eval", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("abrlab eval: algorithm 'dt': ") and reason in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

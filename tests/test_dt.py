@@ -377,5 +377,22 @@ def test_dt_policy_lock_step_matches_single_sessions():
     ]
     assert batched == single
     assert len({level for levels in single for level in levels}) > 1
+    mid = sim.SessionState(next_chunk=1, buffer_s=4.0, last_level=0, measured_mbps=(1.0,))
     with pytest.raises(DtError, match="batch"):
-        policy.decide_batch([sim.SessionState()], [sim.observe(manifest, sim.SessionState())])
+        policy.decide_batch([mid], [sim.observe(manifest, mid)])
+
+
+def test_reused_dt_policy_matches_a_fresh_one():
+    manifest = qoe.make_manifest(chunk_count=10)
+    model = DtModel(TINY, seed=9)
+    model.head.w.value *= 100.0
+    estimator_model = est.EstimatorModel(hidden=8, seed=2)
+    first = [constant_trace(mbps, tag=f"c{mbps}") for mbps in (0.5, 3.0, 1.2)]
+    second = [traces.gen_synthetic_trace(traces.SyntheticSpec(1.5, 0.8, 120.0, seed=s)) for s in range(5)]
+    policy = dt.DtPolicy(model, estimator_model, stats_window=3)
+    sim.run_sessions(policy, manifest, first)
+    reused = sim.run_sessions(policy, manifest, second)
+    fresh = sim.run_sessions(dt.DtPolicy(model, estimator_model, 3), manifest, second)
+    levels = [[r.chosen_level for r in log.records] for log in reused]
+    assert levels == [[r.chosen_level for r in log.records] for log in fresh]
+    assert len({level for row in levels for level in row}) > 1

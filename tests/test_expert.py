@@ -81,7 +81,7 @@ def test_dp_beats_fixed_policies(params):
     plan = dp_plan(manifest, trace, params)
     tolerance = 0.5  # discretization slack at the default quanta
     for level in range(6):
-        log = sim.run_policy(lambda s, o: level, manifest, trace)
+        log = sim.run_policy(expert.PlanFollower(([level] * manifest.chunk_count,)), manifest, trace)
         assert plan.total_qoe >= qoe.session_qoe(log.records, params).total - tolerance
 
 

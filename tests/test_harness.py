@@ -139,14 +139,14 @@ def test_pinned_aggregate_rows(pinned_setup):
     assert rows == PINNED_ROWS
 
 
-def _run_alone(decide, manifest, trace, config):
-    """Reference session loop: scalar decisions, one trace, no batching."""
+def _run_alone(policy, manifest, trace, config):
+    """Reference session loop: one trace, deciding one session at a time."""
     state = sim.init_session(trace)
     obs = sim.observe(manifest, state)
     records, observations = [], []
     for _ in range(manifest.chunk_count):
         observations.append(obs)
-        obs, record, state = sim.step(state, decide(state, obs), manifest, trace, config)
+        obs, record, state = sim.step(state, policy.decide_batch([state], [obs])[0], manifest, trace, config)
         records.append(record)
     return records, observations, state
 
@@ -161,10 +161,10 @@ def test_lock_step_sessions_match_single_runs(pinned_setup, name):
     for log, trace in zip(logs, test_traces):
         if name == "dp":
             actions = expert.dp_plan(manifest, trace, params, None, PIN_DP, PIN_SIM).actions
-            decide = lambda state, obs: actions[state.next_chunk]  # noqa: E731
+            policy = expert.PlanFollower((actions,))
         else:
-            decide = factory([trace])
-        records, observations, final_state = _run_alone(decide, manifest, trace, PIN_SIM)
+            policy = factory([trace])
+        records, observations, final_state = _run_alone(policy, manifest, trace, PIN_SIM)
         assert log.records == records
         assert log.final_state == final_state
         assert [o.vector().tolist() for o in log.observations] == [o.vector().tolist() for o in observations]

@@ -87,13 +87,13 @@ def test_two_segment_download_crosses_boundary():
 def test_trace_loops():
     manifest = one_level_manifest(chunks=30)
     trace = traces.NetworkTrace(np.array([0.0, 5.0]), np.array([1.0, 1.0]))
-    log = sim.run_policy(lambda s, o: 0, manifest, trace)
+    log = sim.run_policy(PlanFollower(([0] * 30,)), manifest, trace)
     assert len(log.records) == 30
     assert all(r.download_s == pytest.approx(1.2, abs=1e-9) for r in log.records)
 
 
 def test_run_policy_counts_and_no_rebuffer(small_manifest, fast_trace):
-    log = sim.run_policy(lambda s, o: 0, small_manifest, fast_trace)
+    log = sim.run_policy(PlanFollower(([0] * small_manifest.chunk_count,)), small_manifest, fast_trace)
     assert len(log.records) == small_manifest.chunk_count
     assert log.final_state.rebuffer_total_s == 0.0
     assert all(r.rebuffer_s == 0.0 for r in log.records)
@@ -101,14 +101,15 @@ def test_run_policy_counts_and_no_rebuffer(small_manifest, fast_trace):
 
 def test_run_policy_deterministic(small_manifest):
     trace = traces.gen_synthetic_trace(traces.SyntheticSpec(1.0, 0.6, 300.0, seed=3))
-    a = sim.run_policy(lambda s, o: s.next_chunk % 3, small_manifest, trace)
-    b = sim.run_policy(lambda s, o: s.next_chunk % 3, small_manifest, trace)
+    policy = PlanFollower(([t % 3 for t in range(small_manifest.chunk_count)],))
+    a = sim.run_policy(policy, small_manifest, trace)
+    b = sim.run_policy(policy, small_manifest, trace)
     assert [r.__dict__ for r in a.records] == [r.__dict__ for r in b.records]
 
 
 def test_run_policy_rejects_bad_level(small_manifest, fast_trace):
     with pytest.raises(SimError, match="chunk 0"):
-        sim.run_policy(lambda s, o: 17, small_manifest, fast_trace)
+        sim.run_policy(PlanFollower(([17] * small_manifest.chunk_count,)), small_manifest, fast_trace)
 
 
 def test_step_after_completion(small_manifest, fast_trace):
@@ -122,7 +123,7 @@ def test_bandwidth_doubling_halves_downloads():
     slow = constant_trace(1.0)
     fast = constant_trace(2.0)
     cfg = SimConfig(buffer_cap_s=1000.0)  # avoid sleeps
-    policy = lambda s, o: (s.next_chunk * 2) % 6
+    policy = PlanFollower(([(t * 2) % 6 for t in range(6)],))
     log_slow = sim.run_policy(policy, manifest, slow, cfg)
     log_fast = sim.run_policy(policy, manifest, fast, cfg)
     for a, b in zip(log_slow.records, log_fast.records):
@@ -139,7 +140,7 @@ def test_conservation_identities():
         )
         trace = traces.gen_synthetic_trace(spec)
         levels = rng.integers(0, 6, size=chunks)
-        log = sim.run_policy(lambda s, o: int(levels[s.next_chunk]), manifest, trace)
+        log = sim.run_policy(PlanFollower((levels.tolist(),)), manifest, trace)
         final = log.final_state
         total_d = sum(r.download_s for r in log.records)
         assert final.wall_clock_s == pytest.approx(total_d + final.sleep_total_s, abs=1e-6)
@@ -195,7 +196,7 @@ def test_transition_matches_step_records():
     manifest = qoe.make_manifest(chunk_count=24)
     trace = traces.NetworkTrace(np.array([0.0, 20.0, 40.0]), np.array([0.5, 8.0, 8.0]))
     config = SimConfig(buffer_cap_s=10.0)
-    log = sim.run_policy(lambda s, o: (2 * s.next_chunk) % 6, manifest, trace, config)
+    log = sim.run_policy(PlanFollower(([(2 * t) % 6 for t in range(24)],)), manifest, trace, config)
     recs = log.records
     before = np.array([0.0] + [r.buffer_after_s for r in recs[:-1]])
     d = np.array([r.download_s for r in recs])
@@ -218,7 +219,7 @@ def test_measured_history_and_startup_fallback():
     assert est.throughput_stats(sim.throughput_history(())) == est.STARTUP_PRIOR
     assert baselines.harmonic_mean(sim.throughput_history(())) == sim.STARTUP_THROUGHPUT_MBPS
     manifest = qoe.make_manifest(chunk_count=5)
-    log = sim.run_policy(lambda s, o: 1, manifest, constant_trace(2.0))
+    log = sim.run_policy(PlanFollower(([1] * 5,)), manifest, constant_trace(2.0))
     assert log.final_state.measured_mbps == tuple(r.throughput_mbps for r in log.records)
     assert sim.throughput_history(log.final_state.measured_mbps) == log.final_state.measured_mbps
 
