@@ -164,11 +164,12 @@ def _cmd_make_expert(args) -> int:
     ]
     expert.save_trajectories(trajectories, args.out)
     print(f"wrote {len(trajectories)} trajectories to {args.out}")
-    # Planner throughput and frontier go to stdout only, never into the trajectory file.
+    # Planner throughput, worker processes and frontier go to stdout only, never into the trajectory file.
     peak = max((int(plan.frontier[:, 0].max()) for plan, _ in sessions), default=0)
     rate = len(sessions) / max(plan_s, 1e-9)
     print(
-        f"planned {len(sessions)} sessions in {plan_s:.3f} s ({rate:.1f} sessions/s); "
+        f"planned {len(sessions)} sessions in {plan_s:.3f} s ({rate:.1f} sessions/s) "
+        f"on {expert.plan_processes(len(corpus))} processes; "
         f"peak frontier {peak} of max_states {dp_cfg.max_states} candidate states"
     )
     return 0
@@ -252,7 +253,7 @@ def _cmd_sweep(args) -> int:
             action_count=len(manifest.ladder), obs_dim=obs_width, max_timestep=manifest.chunk_count
         ),
         dt_hyper=dt_hyper,
-        stats_window=int(dt_spec.settings.get("stats_window", 4)),
+        stats_window=dt_spec.settings.get("stats_window", 4),
         sim_config=config.sim_config,
         dp_config=config.dp_config,
     )

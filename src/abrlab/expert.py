@@ -12,6 +12,9 @@ re-quantized after every transition, so the search is exact whenever the
 true values land on quantization points and otherwise accurate to a bound
 that scales with the quanta.
 
+``dp_plans`` plans a corpus from the session start of every trace, one
+forked worker process per usable CPU; each plan is the same pure call as a
+serial ``dp_plan``, so the plans are identical bit for bit.
 ``PlanFollower`` is the one plan replay: ``plan_sessions`` replays every
 plan of a corpus in one lock-step run with it (``plan_session`` is its
 one-trace case), and so does the evaluation's dp row.  Expert trajectories
@@ -22,7 +25,10 @@ the training unit for the sequence model.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -185,6 +191,48 @@ def dp_plan(
     )
 
 
+def plan_processes(n_traces: int) -> int:
+    """Worker processes ``dp_plans`` runs for ``n_traces`` traces: one per usable CPU, at most one per trace."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_traces, cpus))
+
+
+def dp_plans(
+    manifest: VideoManifest,
+    traces: Sequence[NetworkTrace],
+    params: QoeParams = QoeParams(),
+    dp_config: DpConfig = DpConfig(),
+    sim_config: SimConfig = SimConfig(),
+) -> list[Plan]:
+    """``dp_plan`` from the session start of every trace, in trace order.
+
+    The plans are independent, so they run over ``plan_processes`` worker
+    processes, forked for this call and joined before it returns; with one
+    worker they run in this process.  Each plan is the same pure call on
+    pickled copies of the same inputs, so it equals the serial one bit for
+    bit, and the first failing trace's ``DpError`` is raised.  Threads would
+    not help: the planner holds the GIL.  The workers are forked, not
+    spawned, because a spawned worker re-imports numpy and this package
+    before its first plan; so call this while no other thread of the
+    process holds a lock (every caller in the lab plans on its main thread,
+    outside training and serving).
+    """
+    plan = functools.partial(dp_plan, manifest, params=params, dp_config=dp_config, sim_config=sim_config)
+    workers = plan_processes(len(traces))
+    if workers == 1:
+        return [plan(trace) for trace in traces]
+    import multiprocessing  # here, not at the top: with the process pool, it adds ~8 ms to every CLI start
+
+    pool = futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(plan, traces))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _best_per_key(key: np.ndarray, val: np.ndarray, within: np.ndarray) -> np.ndarray:
     """Index of the best candidate per distinct key among ``within``, in key order.
 
@@ -292,8 +340,8 @@ def plan_sessions(
     dp_config: DpConfig = DpConfig(),
     sim_config: SimConfig = SimConfig(),
 ) -> list[tuple[Plan, SessionLog]]:
-    """Plan every trace from the session start, then replay all plans in one lock-step run."""
-    plans = [dp_plan(manifest, trace, params, None, dp_config, sim_config) for trace in traces]
+    """Plan every trace from the session start with ``dp_plans``, then replay all plans in one lock-step run."""
+    plans = dp_plans(manifest, traces, params, dp_config, sim_config)
     follower = PlanFollower(tuple(plan.actions for plan in plans))
     return list(zip(plans, run_sessions(follower, manifest, traces, sim_config, params)))
 

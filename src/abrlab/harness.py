@@ -48,14 +48,24 @@ class RunConfig:
     output_dir: str = "out"
 
 
-# The settings each algorithm reads from its run-config entry.
+# The settings each algorithm reads from its run-config entry, with the type of each.
 ALGORITHM_SETTINGS = {
-    "bb": ("reservoir_s", "cushion_s"),
-    "rb": ("pred_window",),
-    "mpc": ("horizon", "error_window", "pred_window"),
-    "dt": ("checkpoint", "estimator", "stats_window"),
-    "dp": ("buffer_quantum_s", "time_quantum_s", "dominance_prune"),
+    "bb": {"reservoir_s": "float", "cushion_s": "float"},
+    "rb": {"pred_window": "int"},
+    "mpc": {"horizon": "int", "error_window": "int", "pred_window": "int"},
+    "dt": {"checkpoint": "str", "estimator": "str", "stats_window": "int"},
+    "dp": {"buffer_quantum_s": "float", "time_quantum_s": "float", "dominance_prune": "bool"},
 }
+
+
+def _check_types(values: dict, kinds: dict[str, str], where: str) -> None:
+    """Refuse a value that does not fit its field's type: bool fields take JSON bools, int fields
+    ints, float fields ints or floats, and no number field a bool."""
+    accepted = {"bool": bool, "int": int, "float": (int, float), "str": str}
+    for key, value in values.items():
+        kind = kinds[key]
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted[kind]):
+            raise HarnessError(f"{where}: '{key}' must be {'an' if kind == 'int' else 'a'} {kind}, got {value!r}")
 
 
 def _config_section(doc: dict, key: str, cls: type, path: str | Path):
@@ -63,9 +73,11 @@ def _config_section(doc: dict, key: str, cls: type, path: str | Path):
     section = doc.get(key, {})
     if not isinstance(section, dict):
         raise HarnessError(f"run config {path}: '{key}' must be an object")
-    unknown = sorted(set(section) - {f.name for f in fields(cls)})
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(section) - set(kinds))
     if unknown:
         raise HarnessError(f"run config {path}: unknown '{key}' key(s) {unknown}")
+    _check_types(section, kinds, f"run config {path}: '{key}'")
     return cls(**section)
 
 
@@ -79,9 +91,11 @@ def load_run_config(path: str | Path) -> RunConfig:
         if "name" not in entry:
             raise HarnessError(f"run config {path} has an algorithm without a 'name' key")
         settings = {k: v for k, v in entry.items() if k != "name"}
-        unread = sorted(set(settings) - set(ALGORITHM_SETTINGS.get(entry["name"], ())))
+        kinds = ALGORITHM_SETTINGS.get(entry["name"], {})
+        unread = sorted(set(settings) - set(kinds))
         if unread:
             raise HarnessError(f"run config {path}: algorithm {entry['name']!r} has unknown setting(s) {unread}")
+        _check_types(settings, kinds, f"run config {path}: algorithm {entry['name']!r}")
         algorithms.append(AlgorithmSpec(entry["name"], settings))
     trace_doc = doc.get("traces", {})
     if "corpus_index" in doc:
@@ -221,19 +235,19 @@ def make_policy_factory(
         cfg = baselines.BbConfig(**settings)
         return lambda corpus: baselines.BufferBasedPolicy(manifest.ladder, cfg)
     if name == "rb":
-        window = int(settings.get("pred_window", 5))
+        window = settings.get("pred_window", 5)
         return lambda corpus: baselines.RateBasedPolicy(manifest.ladder, window)
     if name == "mpc":
         cfg = baselines.MpcConfig(**settings)
         return lambda corpus: baselines.RobustMpcPolicy(manifest, params, cfg, sim_config)
     if name == "dt":
         model, estimator_model = _load_dt_bundle(settings, manifest)
-        window = int(settings.get("stats_window", 4))
+        window = settings.get("stats_window", 4)
         return lambda corpus: dt.DtPolicy(model, estimator_model, window)
     if name == "dp":
         cfg = replace(dp_config, **settings)
         return lambda corpus: expert.PlanFollower(
-            tuple(expert.dp_plan(manifest, trace, params, None, cfg, sim_config).actions for trace in corpus)
+            tuple(plan.actions for plan in expert.dp_plans(manifest, corpus, params, cfg, sim_config))
         )
     raise HarnessError(f"unknown algorithm {name!r}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -83,29 +84,52 @@ class TraceCorpus:
 
 
 def parse_cooked_trace(text: str, source_tag: str = "") -> NetworkTrace:
-    """Parse "time_s throughput_mbps" lines; times are re-based to start at 0."""
-    times: list[float] = []
-    tputs: list[float] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise TraceParseError(line_no, f"expected 2 fields, got {len(fields)}")
-        try:
-            t, bw = float(fields[0]), float(fields[1])
-        except ValueError:
-            raise TraceParseError(line_no, f"non-numeric field in {line!r}") from None
-        if times and t <= times[-1]:
-            raise TraceParseError(line_no, f"time {t} not greater than previous {times[-1]}")
-        times.append(t)
-        tputs.append(bw)
+    """Parse "time_s throughput_mbps" lines; times are re-based to start at 0.
+
+    Blank lines are skipped.  The first malformed line raises
+    ``TraceParseError``: a field count other than 2, a non-numeric field, or
+    a time not greater than the previous line's.  All fields convert in one
+    array, and times are checked with one comparison of neighbours.
+    """
+    lines = text.splitlines()
+    fields = list(map(str.split, lines))
+    counts = np.fromiter(map(len, fields), dtype=np.int64, count=len(fields))
+    rows = np.flatnonzero(counts)  # the non-blank lines, 0-based
+    # Rows before ``good`` have 2 numeric fields; row ``good``, if any, is refused with ``reason``.
+    wrong = np.flatnonzero(counts[rows] != 2)
+    good = int(wrong[0]) if len(wrong) else len(rows)
+    reason = f"expected 2 fields, got {counts[rows[good]]}" if good < len(rows) else ""
+    try:
+        values = _floats(fields, rows, good)
+    except ValueError:
+        good = next(i for i, row in enumerate(rows) if not _numeric(fields[row]))
+        reason = f"non-numeric field in {lines[rows[good]].strip()!r}"
+        values = _floats(fields, rows, good)
+    times = values[:, 0]
+    back = np.flatnonzero(times[1:] <= times[:-1])  # not np.diff: inf - inf is nan, and inf <= inf
+    if len(back):
+        i = int(back[0]) + 1
+        raise TraceParseError(int(rows[i]) + 1, f"time {float(times[i])} not greater than previous {float(times[i - 1])}")
+    if reason:
+        raise TraceParseError(int(rows[good]) + 1, reason)
     if len(times) < 2:
         raise TraceError("a trace needs at least 2 points")
-    base = times[0]
-    rebased = np.asarray(times) - base
-    return NetworkTrace(rebased, np.asarray(tputs), source_tag=source_tag)
+    return NetworkTrace(times - times[0], values[:, 1], source_tag=source_tag)
+
+
+def _floats(fields: list[list[str]], rows: np.ndarray, good: int) -> np.ndarray:
+    """The (good, 2) values of the first ``good`` non-blank lines, converted in one array."""
+    end = rows[good] if good < len(rows) else len(fields)
+    return np.array(list(chain.from_iterable(fields[:end])), dtype=float).reshape(-1, 2)
+
+
+def _numeric(fields: list[str]) -> bool:
+    try:
+        for f in fields:
+            float(f)
+    except ValueError:
+        return False
+    return True
 
 
 def serialize_cooked_trace(trace: NetworkTrace) -> str:

@@ -309,3 +309,27 @@ def mean_layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float) -> 
     xc -= xc.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(np.square(xc).mean(axis=-1, keepdims=True) + eps)
     return xc * inv_std * g + b, inv_std
+
+
+def parse_cooked_lines(text: str) -> traces.NetworkTrace:
+    """Line-by-line cooked-trace parse, times re-based to 0; ``TraceParseError`` at the first bad line."""
+    times: list[float] = []
+    tputs: list[float] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise traces.TraceParseError(line_no, f"expected 2 fields, got {len(fields)}")
+        try:
+            t, bw = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise traces.TraceParseError(line_no, f"non-numeric field in {line!r}") from None
+        if times and t <= times[-1]:
+            raise traces.TraceParseError(line_no, f"time {t} not greater than previous {times[-1]}")
+        times.append(t)
+        tputs.append(bw)
+    if len(times) < 2:
+        raise traces.TraceError("a trace needs at least 2 points")
+    return traces.NetworkTrace(np.asarray(times) - times[0], np.asarray(tputs))

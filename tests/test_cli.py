@@ -65,15 +65,15 @@ def test_cli_full_workflow(tmp_path, capsys):
         "--out", str(traj_path), "--prune",
     ]) == 0
     assert len(traj_path.read_text().strip().splitlines()) == 4
-    # Planner throughput and the peak frontier go to stdout, not into the trajectories.
+    # Planner throughput, worker processes and the peak frontier go to stdout, not into the trajectories.
     last = capsys.readouterr().out.splitlines()[-1]
     match = re.fullmatch(
-        r"planned 4 sessions in [0-9.]+ s \([0-9.]+ sessions/s\); "
+        r"planned 4 sessions in [0-9.]+ s \([0-9.]+ sessions/s\) on (\d+) processes; "
         r"peak frontier (\d+) of max_states 3000000 candidate states",
         last,
     )
-    assert match and 6 <= int(match.group(1)) <= 3_000_000
-    assert "frontier" not in traj_path.read_text()
+    assert match and int(match.group(1)) == expert.plan_processes(4) and 6 <= int(match.group(2)) <= 3_000_000
+    assert "frontier" not in traj_path.read_text() and "processes" not in traj_path.read_text()
 
     dt_path = out / "dt.npz"
     capsys.readouterr()
@@ -324,6 +324,46 @@ def test_eval_refuses_unknown_config_key(sweep_lab, tmp_path, capsys, section, v
     captured = capsys.readouterr()
     assert captured.err.startswith("abrlab eval: ") and named in captured.err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, value, named", [
+    ("sim", {"buffer_cap_s": "60"}, "'sim': 'buffer_cap_s' must be a float, got '60'"),
+    ("sim", {"buffer_cap_s": None}, "'sim': 'buffer_cap_s' must be a float, got None"),
+    ("qoe", {"rebuffer_penalty": "4.3"}, "'qoe': 'rebuffer_penalty' must be a float, got '4.3'"),
+    ("dp", {"buffer_quantum_s": "0.5"}, "'dp': 'buffer_quantum_s' must be a float, got '0.5'"),
+    ("dp", {"max_states": True}, "'dp': 'max_states' must be an int, got True"),
+    ("algorithms", [{"name": "mpc", "horizon": "5"}], "algorithm 'mpc': 'horizon' must be an int, got '5'"),
+    ("algorithms", [{"name": "mpc", "horizon": 5.5}], "algorithm 'mpc': 'horizon' must be an int, got 5.5"),
+    ("algorithms", [{"name": "bb", "reservoir_s": "5"}], "algorithm 'bb': 'reservoir_s' must be a float, got '5'"),
+    ("algorithms", [{"name": "dp", "dominance_prune": "yes"}],
+     "algorithm 'dp': 'dominance_prune' must be a bool, got 'yes'"),
+    ("algorithms", [{"name": "rb", "pred_window": True}], "algorithm 'rb': 'pred_window' must be an int, got True"),
+    ("algorithms", [{"name": "dt", "checkpoint": "dt.npz", "estimator": "est.npz", "stats_window": 2.5}],
+     "algorithm 'dt': 'stats_window' must be an int, got 2.5"),
+])
+def test_eval_refuses_wrongly_typed_config_values(sweep_lab, tmp_path, capsys, section, value, named):
+    """A qoe, sim or dp value or an algorithm setting that does not fit its field's type exits with status 2,
+    names the key, and writes nothing: bool fields take JSON bools, int fields ints, float fields ints or floats."""
+    config = _run_config(tmp_path, {"manifest": str(sweep_lab / "manifest.json"), "algorithms": [{"name": "bb"}],
+                                    "corpus_index": str(sweep_lab / "traces" / "corpus.json"), section: value})
+    assert run(["eval", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("abrlab eval: run config ") and named in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_takes_ints_for_float_fields(sweep_lab, tmp_path, capsys):
+    """An int fits a float field: it runs as the equal float would."""
+    reports = []
+    for cap, reservoir in ((60, 5), (60.0, 5.0)):
+        config = _run_config(tmp_path, {"manifest": str(sweep_lab / "manifest.json"),
+                                        "corpus_index": str(sweep_lab / "traces" / "corpus.json"),
+                                        "sim": {"buffer_cap_s": cap},
+                                        "algorithms": [{"name": "bb", "reservoir_s": reservoir}]})
+        assert run(["eval", "--config", config]) == 0
+        reports.append((tmp_path / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    capsys.readouterr()
 
 
 # Each case: the checkpoint's ladder (None: not recorded), its action count and

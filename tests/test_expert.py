@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -288,3 +290,75 @@ def test_merge_keeps_first_best_per_key():
             if k not in best or val[i] > val[best[k]]:
                 best[k] = i
         assert expert._best_per_key(key, val, within).tolist() == [best[k] for k in sorted(best)]
+
+
+def _use_cpus(monkeypatch, n: int) -> list:
+    """Give ``dp_plans`` ``n`` usable CPUs; returns the list each pool construction is logged in."""
+    built = []
+    real = expert.futures.ProcessPoolExecutor
+
+    def pool(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expert.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(expert.futures, "ProcessPoolExecutor", pool)
+    return built
+
+
+def _plan_corpus():
+    manifest = qoe.make_manifest(12, 4.0, size_jitter=0.1, seed=3)
+    switching = harness.make_switching_corpus(2, harness.PipelineConfig(trace_duration_s=120.0), 9, "pin")
+    grid = traces.gen_synthetic_trace(traces.SyntheticSpec(1.6, 0.5, 120.0, seed=4))
+    return manifest, [constant_trace(1.3), *switching, grid]
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "exact"])
+def test_dp_plans_equal_serial_plans(params, monkeypatch, prune):
+    """Worker processes plan each trace as one dp_plan call would, field for field, and leave no process behind."""
+    built = _use_cpus(monkeypatch, 2)
+    manifest, corpus = _plan_corpus()
+    cfg, sim_config = DpConfig(dominance_prune=prune), sim.SimConfig(buffer_cap_s=30.0)
+    plans = expert.dp_plans(manifest, corpus, params, cfg, sim_config)
+    assert len(built) == 1 and not multiprocessing.active_children()
+    assert len(plans) == len(corpus)
+    for plan, trace in zip(plans, corpus):
+        serial = dp_plan(manifest, trace, params, None, cfg, sim_config)
+        assert plan.actions == serial.actions and plan.total_qoe == serial.total_qoe
+        assert plan.start_chunk == serial.start_chunk == 0
+        assert np.array_equal(plan.value_to_go, serial.value_to_go)
+        assert np.array_equal(plan.frontier, serial.frontier)
+
+
+def test_dp_plans_raise_the_first_serial_error(params, monkeypatch):
+    """A worker's DpBudgetError reaches the caller with the type and message of the first failing serial plan."""
+    built = _use_cpus(monkeypatch, 2)
+    manifest, corpus = _plan_corpus()
+    cfg = DpConfig(max_states=2000)
+    messages = []
+    for trace in corpus:
+        try:
+            dp_plan(manifest, trace, params, dp_config=cfg)
+        except DpBudgetError as exc:
+            messages.append(str(exc))
+    assert len(messages) == 3 and len(set(messages)) > 1  # the constant trace fits, the others do not
+    with pytest.raises(DpBudgetError) as caught:
+        expert.dp_plans(manifest, corpus, params, cfg)
+    assert type(caught.value) is DpBudgetError and str(caught.value) == messages[0]
+    assert len(built) == 1 and not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("cpus, count", [(2, 1), (1, 3)], ids=["one-trace", "one-cpu"])
+def test_dp_plans_without_a_pool(params, monkeypatch, cpus, count):
+    """One trace, or one usable CPU, plans in this process: no pool is built."""
+    monkeypatch.setattr(expert.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(expert.futures, "ProcessPoolExecutor", refuse)
+    manifest, corpus = _plan_corpus()
+    assert expert.plan_processes(count) == 1
+    plans = expert.dp_plans(manifest, corpus[:count], params)
+    assert [p.actions for p in plans] == [dp_plan(manifest, t, params).actions for t in corpus[:count]]
+    assert expert.dp_plans(manifest, [], params) == []

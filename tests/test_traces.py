@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from abrlab import traces
 from abrlab.traces import (
@@ -17,6 +17,7 @@ from abrlab.traces import (
 )
 
 from conftest import constant_trace
+from oracles import parse_cooked_lines
 
 
 def test_parse_basic():
@@ -33,6 +34,32 @@ def test_parse_error_line_number():
         parse_cooked_trace("0.0 1.5\n1.0 1.5\n2.0")
     with pytest.raises(TraceParseError, match="line 2"):
         parse_cooked_trace("1.0 1.5\n0.5 1.5")
+
+
+def _parse_outcome(parse, text) -> str:
+    try:
+        trace = parse(text)
+    except TraceError as exc:
+        return repr((type(exc).__name__, str(exc), getattr(exc, "line_no", None)))
+    return repr((trace.times_s.tolist(), trace.throughput_mbps.tolist()))  # repr: nan equals nan
+
+
+# The examples put two faults in one text, or a fault next to blank lines or infinities: the first bad line wins.
+@given(st.lists(
+    st.lists(st.sampled_from(["0", "1", "2.5", "-1", "abc", "nan", "inf", "1e3", "3"]), max_size=3)
+    .map(" ".join),
+    max_size=8,
+))
+@example(["0 1", "", "  ", "2 3", "1 2", "abc 1"])  # a time going back, then a non-numeric line
+@example(["0 1", "abc 1", "1 2 3"])  # non-numeric, then three fields
+@example(["0 1", "1 2 3", "abc 1"])  # three fields, then non-numeric
+@example(["0 1", "0 2", "1 2 3"])  # a repeated time, then three fields
+@example(["0 1", "inf 2", "inf 3"])  # inf <= inf, though inf - inf is nan
+@example(["0 1", "\t", "5 2\r", "7 1_000"])
+def test_parse_matches_line_by_line_reference(lines):
+    """The bulk parse returns the trace, or refuses the line with the message, that a line-by-line parse does."""
+    text = "\n".join(lines)
+    assert _parse_outcome(parse_cooked_trace, text) == _parse_outcome(parse_cooked_lines, text)
 
 
 def test_parse_rebases_times():
