@@ -103,24 +103,15 @@ def mpc_forecasts(histories, config: MpcConfig = MpcConfig()) -> np.ndarray:
 
 
 def _max_recent_error(history, config: MpcConfig) -> np.ndarray:
-    """Largest |predicted - actual| / actual the forecaster recently made, per history row.
-
-    The windows before each of the last ``error_window`` samples form one
-    (B, windows, pred_window) array, left-padded with +inf, whose inverses add
-    exact zeros.  numpy sums fewer than 8 terms in order, so with
-    ``pred_window`` < 8 each harmonic mean is bit for bit that of the window's
-    samples alone.
-    """
+    """Largest |predicted - actual| / actual the forecaster recently made, per history row."""
     h = np.asarray(history, dtype=np.float64)
-    n, width = h.shape[-1], config.pred_window
-    ends = np.arange(max(1, n - config.error_window), n)
-    padded = np.concatenate((np.full(h.shape[:-1] + (width,), np.inf), h), axis=-1)
-    windows = padded[..., ends[:, None] + np.arange(width)]  # samples end - width .. end - 1
-    if np.any(windows <= 0):
-        raise ValueError("harmonic mean needs positive values")
-    predicted = np.minimum(ends, width) / np.sum(1.0 / windows, axis=-1)
-    actual = h[..., ends]
-    return np.max(np.abs(predicted - actual) / actual, axis=-1, initial=0.0)
+    n = h.shape[-1]
+    worst = np.zeros(h.shape[:-1])
+    for k in range(max(1, n - config.error_window), n):
+        predicted = harmonic_mean(h[..., max(0, k - config.pred_window):k])
+        actual = h[..., k]
+        worst = np.maximum(worst, np.abs(predicted - actual) / actual)
+    return worst
 
 
 def mpc_first_levels(

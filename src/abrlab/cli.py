@@ -30,7 +30,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("gen-traces", help="generate synthetic traces and a corpus index")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--kind", choices=["switching", "grid"], default="switching")
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--duration", type=float, default=400.0)
     p.add_argument("--seed", type=int, default=7)
@@ -40,7 +39,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("train-estimator", help="build the grid dataset and train the QoE-to-go estimator")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="estimator checkpoint path (.npz)")
-    p.add_argument("--dataset-out", help="optional JSONL dump of the dataset")
     p.add_argument("--mu-step", type=float, default=0.5)
     p.add_argument("--sigma-step", type=float, default=0.5)
     p.add_argument("--duration", type=float, default=320.0)
@@ -102,27 +100,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_gen_traces(args) -> int:
+    cfg = harness.PipelineConfig(seed=args.seed, trace_duration_s=args.duration)
+    generated = harness.make_switching_corpus(args.count, cfg, args.seed, "trace")
+    # Split before writing anything, so that a refused split leaves no file behind.
+    tags = {t.source_tag for t in traces.split_corpus(generated, args.train_fraction, args.seed).train}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.kind == "grid":
-        specs = traces.estimator_grid(duration_s=args.duration, seed=args.seed)
-        generated = [traces.gen_synthetic_trace(s) for s in specs]
-    else:
-        cfg = harness.PipelineConfig(seed=args.seed, trace_duration_s=args.duration)
-        generated = harness.make_switching_corpus(args.count, cfg, args.seed, "trace")
-    paths = []
-    for i, trace in enumerate(generated):
-        path = out / f"{trace.source_tag or f'trace{i:04d}'}.log"
+    index: dict[str, list[str]] = {"train": [], "test": []}
+    for trace in generated:
+        path = out / f"{trace.source_tag}.log"
         traces.save_trace_file(trace, path)
-        paths.append(str(path))
-    corpus = traces.split_corpus(generated, args.train_fraction, args.seed)
-    tags = {t.source_tag for t in corpus.train}
-    index = {
-        "train": [p for p, t in zip(paths, generated) if t.source_tag in tags],
-        "test": [p for p, t in zip(paths, generated) if t.source_tag not in tags],
-    }
+        index["train" if trace.source_tag in tags else "test"].append(str(path))
     traces.save_corpus_index(index, out / "corpus.json")
-    print(f"wrote {len(paths)} traces and corpus index to {out}")
+    print(f"wrote {len(generated)} traces and corpus index to {out}")
     return 0
 
 
@@ -132,8 +122,6 @@ def _cmd_train_estimator(args) -> int:
         mu_step=args.mu_step, sigma_step=args.sigma_step, duration_s=args.duration, seed=args.seed
     )
     dataset = est.make_estimator_dataset(grid, manifest)
-    if args.dataset_out:
-        est.save_estimator_dataset(dataset, args.dataset_out)
     model, report = est.train_estimator(dataset, est.EstimatorConfig(seed=args.seed, epochs=args.epochs))
     est.save_estimator(model, args.out)
     print(
@@ -271,6 +259,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    if not 0 <= args.port <= 65535:
+        raise ValueError(f"port {args.port} is outside 0-65535")
     arrays, meta = nn.load_checkpoint(args.dt)
     model, estimator_model = dt.from_checkpoint(arrays, meta), est.load_estimator(args.estimator)
     ladder = tuple(float(r) for r in meta.get("ladder_kbps", qoe.DEFAULT_LADDER_KBPS))

@@ -441,7 +441,8 @@ class DtPolicy:
     """Streaming policy: maintains the windows, estimates QoE-to-go, decides.
 
     ``decide_batch`` serves every session of a lock-step run at once: it
-    keeps one ``TrajectoryWindow`` of all sessions and their last levels, runs
+    keeps one ``TrajectoryWindow`` of all sessions, completes each pending
+    action with the session's executed ``last_level``, runs
     ``est.qoe_to_go`` once on all sessions and ``decide`` once.  Sessions at
     chunk 0 start fresh windows, so one instance serves run after run.  The
     session's measured-throughput history (``state.measured_mbps``) feeds the
@@ -458,7 +459,6 @@ class DtPolicy:
         self.estimator_model = estimator_model
         self.stats_window = stats_window
         self._window = start_window(np.empty((0, model.config.obs_dim)), np.empty(0), [], model.config.context_len)
-        self._levels = np.empty(0, dtype=np.int64)
 
     def decide_batch(self, states: Sequence[SessionState], observations: Sequence[Observation]) -> list[int]:
         """Levels for sessions in lock step: one more timestep in every window."""
@@ -473,6 +473,5 @@ class DtPolicy:
         if states[0].next_chunk == 0:
             self._window = start_window(obs, r_hat, [0] * len(states), self.model.config.context_len)
         else:
-            self._window = update_window(self._window, self._levels, obs, r_hat)
-        self._levels = decide(self.model, self._window)
-        return self._levels.tolist()
+            self._window = update_window(self._window, [s.last_level for s in states], obs, r_hat)
+        return decide(self.model, self._window).tolist()

@@ -13,7 +13,6 @@ that expert trajectories, the lock-step policy and the service all use.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -178,38 +177,6 @@ def make_estimator_dataset(
         )
         labels.append(0.0)
     raw = np.stack(rows)
-    return EstimatorDataset(features=raw / FEATURE_SCALE, labels=np.asarray(labels), raw=raw)
-
-
-def save_estimator_dataset(dataset: EstimatorDataset, path: str | Path) -> None:
-    """JSON-lines of {mu, sigma, buffer_s, remaining_frac, label}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row, label in zip(dataset.raw, dataset.labels):
-            fh.write(
-                json.dumps(
-                    {
-                        "mu": row[0],
-                        "sigma": row[1],
-                        "buffer_s": row[2],
-                        "remaining_frac": row[3],
-                        "label": label,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-
-
-def load_estimator_dataset(path: str | Path) -> EstimatorDataset:
-    rows, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            rows.append([doc["mu"], doc["sigma"], doc["buffer_s"], doc["remaining_frac"]])
-            labels.append(doc["label"])
-    raw = np.asarray(rows, dtype=np.float64)
     return EstimatorDataset(features=raw / FEATURE_SCALE, labels=np.asarray(labels), raw=raw)
 
 

@@ -387,19 +387,6 @@ def trajectory_from_log(
     )
 
 
-def build_expert_trajectories(
-    traces: Sequence[NetworkTrace],
-    manifest: VideoManifest,
-    params: QoeParams,
-    estimator_model: "est.EstimatorModel",
-    stats_window: int = 4,
-    dp_config: DpConfig = DpConfig(),
-    sim_config: SimConfig = SimConfig(),
-) -> list[Trajectory]:
-    sessions = plan_sessions(manifest, traces, params, dp_config, sim_config)
-    return [trajectory_from_log(log, estimator_model, stats_window) for _, log in sessions]
-
-
 def save_trajectories(trajectories: Sequence[Trajectory], path: str | Path) -> None:
     """One trajectory per line: {"trace", "t", "o", "r", "a"}, plus "ladder_kbps" when recorded."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -60,12 +61,14 @@ ALGORITHM_SETTINGS = {
 
 def _check_types(values: dict, kinds: dict[str, str], where: str) -> None:
     """Refuse a value that does not fit its field's type: bool fields take JSON bools, int fields
-    ints, float fields ints or floats, and no number field a bool."""
+    ints, float fields finite ints or floats, and no number field a bool."""
     accepted = {"bool": bool, "int": int, "float": (int, float), "str": str}
     for key, value in values.items():
         kind = kinds[key]
         if isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted[kind]):
             raise HarnessError(f"{where}: '{key}' must be {'an' if kind == 'int' else 'a'} {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise HarnessError(f"{where}: '{key}' must be finite, got {value!r}")
 
 
 def _config_section(doc: dict, key: str, cls: type, path: str | Path):

@@ -9,6 +9,7 @@ predecessor, so its smoothness term is zero by convention.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -35,8 +36,8 @@ class BitrateLadder:
     def __post_init__(self) -> None:
         if len(self.levels) == 0:
             raise QoeError("bitrate ladder must be non-empty")
-        if any(r <= 0 for r in self.levels):
-            raise QoeError("bitrate ladder entries must be positive")
+        if not all(0 < r < math.inf for r in self.levels):  # refuses nan too
+            raise QoeError("bitrate ladder entries must be positive and finite")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise QoeError("bitrate ladder must be strictly ascending")
 
@@ -45,10 +46,6 @@ class BitrateLadder:
 
     def __getitem__(self, level: int) -> float:
         return self.levels[level]
-
-    @property
-    def top(self) -> int:
-        return len(self.levels) - 1
 
 
 @dataclass(frozen=True)
@@ -86,15 +83,15 @@ class VideoManifest:
         self.chunk_sizes_bytes = np.asarray(self.chunk_sizes_bytes, dtype=np.float64)
         if self.chunk_count < 1:
             raise QoeError("chunk_count must be >= 1")
-        if self.chunk_duration_s <= 0:
-            raise QoeError("chunk_duration_s must be positive")
+        if not 0 < self.chunk_duration_s < math.inf:
+            raise QoeError("chunk_duration_s must be positive and finite")
         if self.chunk_sizes_bytes.shape != (self.chunk_count, len(self.ladder)):
             raise QoeError(
                 f"chunk_sizes_bytes must have shape ({self.chunk_count}, {len(self.ladder)}), "
                 f"got {self.chunk_sizes_bytes.shape}"
             )
-        if np.any(self.chunk_sizes_bytes <= 0):
-            raise QoeError("all chunk sizes must be positive")
+        if not np.all((self.chunk_sizes_bytes > 0) & np.isfinite(self.chunk_sizes_bytes)):
+            raise QoeError("all chunk sizes must be positive and finite")
         if np.any(np.diff(self.chunk_sizes_bytes, axis=1) < 0):
             raise QoeError("sizes within a chunk must be non-decreasing across ladder levels")
 

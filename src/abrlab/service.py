@@ -171,12 +171,13 @@ class ReusingHTTPServer(ThreadingHTTPServer):
     """
 
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        # Set before the base class binds: a failed bind calls server_close, which reads them.
         self._handoff = queue.SimpleQueue()  # connections, or None to end a thread
         self._lock = threading.Lock()
         self._idle = 0  # threads that will take one item off the handoff queue
         self._closed = False
         self._max_idle = os.cpu_count() or 1
+        super().__init__(*args, **kwargs)
 
     def process_request(self, request, client_address) -> None:
         with self._lock:

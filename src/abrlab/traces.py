@@ -9,8 +9,8 @@ to time zero (the simulator loops the trace).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -46,6 +46,8 @@ class NetworkTrace:
             raise TraceError("times and throughputs must be 1-d arrays of equal length")
         if len(self.times_s) < 2:
             raise TraceError("a trace needs at least 2 points")
+        if not (np.all(np.isfinite(self.times_s)) and np.all(np.isfinite(self.throughput_mbps))):
+            raise TraceError("trace times and throughputs must be finite")
         if self.times_s[0] != 0.0:
             raise TraceError("trace times must start at 0 (re-base before constructing)")
         if np.any(np.diff(self.times_s) <= 0):
@@ -65,7 +67,6 @@ class SyntheticSpec:
     mean_mbps: float
     stddev_mbps: float
     duration_s: float
-    sample_interval_s: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -73,8 +74,8 @@ class SyntheticSpec:
             raise TraceError("mean_mbps must be positive")
         if self.stddev_mbps < 0:
             raise TraceError("stddev_mbps must be non-negative")
-        if self.duration_s <= 0 or self.sample_interval_s <= 0:
-            raise TraceError("duration_s and sample_interval_s must be positive")
+        if self.duration_s <= 0:
+            raise TraceError("duration_s must be positive")
 
 
 @dataclass
@@ -87,49 +88,31 @@ def parse_cooked_trace(text: str, source_tag: str = "") -> NetworkTrace:
     """Parse "time_s throughput_mbps" lines; times are re-based to start at 0.
 
     Blank lines are skipped.  The first malformed line raises
-    ``TraceParseError``: a field count other than 2, a non-numeric field, or
-    a time not greater than the previous line's.  All fields convert in one
-    array, and times are checked with one comparison of neighbours.
+    ``TraceParseError``: a field count other than 2, a non-numeric or
+    non-finite field, or a time not greater than the previous line's.
     """
-    lines = text.splitlines()
-    fields = list(map(str.split, lines))
-    counts = np.fromiter(map(len, fields), dtype=np.int64, count=len(fields))
-    rows = np.flatnonzero(counts)  # the non-blank lines, 0-based
-    # Rows before ``good`` have 2 numeric fields; row ``good``, if any, is refused with ``reason``.
-    wrong = np.flatnonzero(counts[rows] != 2)
-    good = int(wrong[0]) if len(wrong) else len(rows)
-    reason = f"expected 2 fields, got {counts[rows[good]]}" if good < len(rows) else ""
-    try:
-        values = _floats(fields, rows, good)
-    except ValueError:
-        good = next(i for i, row in enumerate(rows) if not _numeric(fields[row]))
-        reason = f"non-numeric field in {lines[rows[good]].strip()!r}"
-        values = _floats(fields, rows, good)
-    times = values[:, 0]
-    back = np.flatnonzero(times[1:] <= times[:-1])  # not np.diff: inf - inf is nan, and inf <= inf
-    if len(back):
-        i = int(back[0]) + 1
-        raise TraceParseError(int(rows[i]) + 1, f"time {float(times[i])} not greater than previous {float(times[i - 1])}")
-    if reason:
-        raise TraceParseError(int(rows[good]) + 1, reason)
+    times: list[float] = []
+    tputs: list[float] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise TraceParseError(line_no, f"expected 2 fields, got {len(fields)}")
+        try:
+            t, bw = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise TraceParseError(line_no, f"non-numeric field in {line!r}") from None
+        if not (math.isfinite(t) and math.isfinite(bw)):
+            raise TraceParseError(line_no, f"non-finite field in {line!r}")
+        if times and t <= times[-1]:
+            raise TraceParseError(line_no, f"time {t} not greater than previous {times[-1]}")
+        times.append(t)
+        tputs.append(bw)
     if len(times) < 2:
         raise TraceError("a trace needs at least 2 points")
-    return NetworkTrace(times - times[0], values[:, 1], source_tag=source_tag)
-
-
-def _floats(fields: list[list[str]], rows: np.ndarray, good: int) -> np.ndarray:
-    """The (good, 2) values of the first ``good`` non-blank lines, converted in one array."""
-    end = rows[good] if good < len(rows) else len(fields)
-    return np.array(list(chain.from_iterable(fields[:end])), dtype=float).reshape(-1, 2)
-
-
-def _numeric(fields: list[str]) -> bool:
-    try:
-        for f in fields:
-            float(f)
-    except ValueError:
-        return False
-    return True
+    return NetworkTrace(np.asarray(times) - times[0], np.asarray(tputs), source_tag=source_tag)
 
 
 def serialize_cooked_trace(trace: NetworkTrace) -> str:
@@ -152,12 +135,12 @@ def save_trace_file(trace: NetworkTrace, path: str | Path) -> None:
 def gen_synthetic_trace(spec: SyntheticSpec) -> NetworkTrace:
     """Draw one stationary Gaussian trace; deterministic under spec.seed.
 
-    One sample per interval, clamped below at SYNTHETIC_FLOOR_MBPS.  The
+    One sample per second, clamped below at SYNTHETIC_FLOOR_MBPS.  The
     closing sample at t = duration_s marks the end of the trace.
     """
     rng = np.random.default_rng(spec.seed)
-    n_points = int(round(spec.duration_s / spec.sample_interval_s)) + 1
-    times = np.arange(n_points) * spec.sample_interval_s
+    n_points = int(round(spec.duration_s)) + 1
+    times = np.arange(n_points, dtype=np.float64)
     draws = rng.normal(spec.mean_mbps, spec.stddev_mbps, size=n_points)
     tputs = np.maximum(draws, SYNTHETIC_FLOOR_MBPS)
     tag = f"syn_mu{spec.mean_mbps:g}_sd{spec.stddev_mbps:g}_seed{spec.seed}"
@@ -223,6 +206,10 @@ def estimator_grid(
     The default ranges sweep 0.5..6.0 Mbps and 0..3 in 0.1 increments.
     sigma == 0 cells use the floor-adjusted mean as-is.
     """
+    if not (mu_step > 0 and sigma_step > 0):  # refuses nan too
+        raise TraceError(f"grid steps must be positive, got mu_step {mu_step} and sigma_step {sigma_step}")
+    if not (mu_stop >= mu_start and sigma_stop >= sigma_start):
+        raise TraceError("grid stops must not lie below their starts")
     n_mu = int(round((mu_stop - mu_start) / mu_step)) + 1
     n_sigma = int(round((sigma_stop - sigma_start) / sigma_step)) + 1
     specs = []

@@ -22,6 +22,7 @@ the reference, bit for bit, for ``nn.LayerNorm.forward``'s ufunc reductions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,6 +327,8 @@ def parse_cooked_lines(text: str) -> traces.NetworkTrace:
             t, bw = float(fields[0]), float(fields[1])
         except ValueError:
             raise traces.TraceParseError(line_no, f"non-numeric field in {line!r}") from None
+        if not (math.isfinite(t) and math.isfinite(bw)):
+            raise traces.TraceParseError(line_no, f"non-finite field in {line!r}")
         if times and t <= times[-1]:
             raise traces.TraceParseError(line_no, f"time {t} not greater than previous {times[-1]}")
         times.append(t)

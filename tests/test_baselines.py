@@ -85,9 +85,17 @@ def test_array_rules_match_the_ladder_walk(which, buffers, predictions):
 
 
 def test_mpc_forecasts_match_the_window_loop():
+    """Every forecast equals the loop's, also for windows of 8 or more samples, which numpy does not sum in order."""
     rng = np.random.default_rng(11)
-    for config in (MpcConfig(), MpcConfig(error_window=7, pred_window=3)):
-        for n in range(1, 13):
+    cases = (
+        (MpcConfig(), 12),
+        (MpcConfig(error_window=7, pred_window=3), 12),
+        (MpcConfig(pred_window=8), 24),
+        (MpcConfig(pred_window=10, error_window=6), 24),
+        (MpcConfig(pred_window=16, error_window=3), 24),
+    )
+    for config, longest in cases:
+        for n in range(1, longest + 1):
             histories = rng.uniform(0.05, 8.0, (8, n))
             expected = [oracles.mpc_forecast(h, config.pred_window, config.error_window) for h in histories]
             assert baselines.mpc_forecasts(histories, config).tolist() == expected

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -53,9 +55,8 @@ def test_cli_full_workflow(tmp_path, capsys):
         "train-estimator", "--manifest", str(manifest_path), "--out", str(est_path),
         "--mu-step", "2.75", "--sigma-step", "3.0", "--duration", "60",
         "--epochs", "5", "--seed", "3",
-        "--dataset-out", str(out / "grid.jsonl"),
     ]) == 0
-    assert est_path.exists() and (out / "grid.jsonl").exists()
+    assert est_path.exists()
 
     traj_path = out / "expert.jsonl"
     capsys.readouterr()
@@ -340,10 +341,14 @@ def test_eval_refuses_unknown_config_key(sweep_lab, tmp_path, capsys, section, v
     ("algorithms", [{"name": "rb", "pred_window": True}], "algorithm 'rb': 'pred_window' must be an int, got True"),
     ("algorithms", [{"name": "dt", "checkpoint": "dt.npz", "estimator": "est.npz", "stats_window": 2.5}],
      "algorithm 'dt': 'stats_window' must be an int, got 2.5"),
+    ("sim", {"buffer_cap_s": float("nan")}, "'sim': 'buffer_cap_s' must be finite, got nan"),
+    ("qoe", {"rebuffer_penalty": float("inf")}, "'qoe': 'rebuffer_penalty' must be finite, got inf"),
+    ("algorithms", [{"name": "bb", "cushion_s": float("nan")}], "algorithm 'bb': 'cushion_s' must be finite, got nan"),
 ])
 def test_eval_refuses_wrongly_typed_config_values(sweep_lab, tmp_path, capsys, section, value, named):
     """A qoe, sim or dp value or an algorithm setting that does not fit its field's type exits with status 2,
-    names the key, and writes nothing: bool fields take JSON bools, int fields ints, float fields ints or floats."""
+    names the key, and writes nothing: bool fields take JSON bools, int fields ints, float fields finite ints
+    or floats (json reads NaN and Infinity)."""
     config = _run_config(tmp_path, {"manifest": str(sweep_lab / "manifest.json"), "algorithms": [{"name": "bb"}],
                                     "corpus_index": str(sweep_lab / "traces" / "corpus.json"), section: value})
     assert run(["eval", "--config", config]) == 2
@@ -439,3 +444,81 @@ def test_eval_prints_throughput_per_algorithm(sweep_lab, tmp_path, capsys):
         reports.append({name: (tmp_path / "out" / name).read_bytes() for name in ("report.json", "summary.csv", "cdf.csv")})
     assert reports[0] == reports[1]
     assert not any(b"sessions/s" in data for data in reports[0].values())
+
+
+def test_serve_refuses_a_port_in_use_or_out_of_range(sweep_lab, tmp_path, monkeypatch, capsys):
+    """A port that cannot be bound exits with status 2 and one line on stderr, not a traceback."""
+    config = dt.DtConfig(embed_dim=8, blocks=1)
+    dt.save_dt(dt.DtModel(config, seed=0), tmp_path / "dt.npz", qoe.DEFAULT_LADDER_KBPS)
+    monkeypatch.setattr(service.ReusingHTTPServer, "serve_forever", lambda *a: pytest.fail("bound a port in use"))
+    argv = ["serve", "--dt", str(tmp_path / "dt.npz"), "--estimator", str(sweep_lab / "estimator.npz"), "--port"]
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        assert run(argv + [str(busy.getsockname()[1])]) == 2
+    in_use = f"[Errno {errno.EADDRINUSE}] {os.strerror(errno.EADDRINUSE)}"
+    assert capsys.readouterr() == ("", f"abrlab serve: {in_use}\n")
+    for port in ("65536", "70000", "-1"):
+        assert run(argv + [port]) == 2
+        assert capsys.readouterr() == ("", f"abrlab serve: port {port} is outside 0-65535\n")
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["--count", "1"], "need at least 2 traces to split"),
+    (["--count", "3", "--train-fraction", "1.5"], "train_fraction must be in (0, 1)"),
+])
+def test_gen_traces_refusal_writes_nothing(tmp_path, capsys, args, reason):
+    out = tmp_path / "traces"
+    assert run(["gen-traces", "--out", str(out), "--duration", "30", *args]) == 2
+    assert capsys.readouterr().err == f"abrlab gen-traces: {reason}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("args", [["--mu-step", "0"], ["--sigma-step", "0"], ["--mu-step", "-1"]])
+def test_train_estimator_refuses_nonpositive_grid_steps(sweep_lab, tmp_path, capsys, args):
+    out = tmp_path / "estimator.npz"
+    assert run(["train-estimator", "--manifest", str(sweep_lab / "manifest.json"), "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("abrlab train-estimator: grid steps must be positive") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _spoil_manifest(path, key, value) -> None:
+    """Put ``value`` into the manifest file: as the first chunk size, the top ladder entry, or the chunk duration."""
+    doc = json.loads(path.read_text())
+    if key == "chunk_sizes_bytes":
+        doc[key][0][0] = value
+    elif key == "bitrates_kbps":
+        doc[key][-1] = value
+    else:
+        doc[key] = value
+    path.write_text(json.dumps(doc))
+
+
+# Each case: the file that goes non-finite, how, and the reason given.
+NON_FINITE_INPUTS = {
+    "trace": ("trace", "nan 2", "line 2: non-finite field in 'nan 2'"),
+    "chunk-size": ("manifest", ("chunk_sizes_bytes", float("nan")), "chunk sizes must be positive and finite"),
+    "chunk-duration": ("manifest", ("chunk_duration_s", float("nan")), "chunk_duration_s must be positive and finite"),
+    "ladder-entry": ("manifest", ("bitrates_kbps", float("inf")), "entries must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+def test_eval_refuses_non_finite_input(sweep_lab, tmp_path, capsys, case):
+    """A NaN or infinity in a trace file or a manifest is refused where it is read, not later in an
+    evaluation: status 2, the reason on stderr, nothing on stdout, no report."""
+    where, change, reason = NON_FINITE_INPUTS[case]
+    qoe.save_manifest(qoe.make_manifest(chunk_count=6), tmp_path / "manifest.json")
+    test_traces = traces.load_corpus_index(sweep_lab / "traces" / "corpus.json")["test"]
+    doc = {"manifest": str(tmp_path / "manifest.json"), "algorithms": [{"name": "bb"}]}
+    if where == "trace":
+        (tmp_path / "bad.log").write_text(f"0 1\n{change}\n9 1\n")
+        test_traces = [*test_traces, str(tmp_path / "bad.log")]
+    else:
+        _spoil_manifest(tmp_path / "manifest.json", *change)
+    config = _run_config(tmp_path, dict(doc, traces={"test": test_traces}))
+    assert run(["eval", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("abrlab eval: ") and reason in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()

@@ -181,12 +181,3 @@ def test_estimator_checkpoint_refuses_mismatched_arrays(tmp_path):
         nn.save_checkpoint(tmp_path / "est.npz", bad, meta)
         with pytest.raises(nn.NnError, match=match):
             est.load_estimator(tmp_path / "est.npz")
-
-
-def test_dataset_roundtrip(tmp_path, tiny_dataset):
-    _, _, dataset = tiny_dataset
-    path = tmp_path / "dataset.jsonl"
-    est.save_estimator_dataset(dataset, path)
-    loaded = est.load_estimator_dataset(path)
-    assert np.allclose(loaded.features, dataset.features)
-    assert np.allclose(loaded.labels, dataset.labels)

@@ -124,7 +124,10 @@ def test_build_expert_trajectories(params):
     manifest = qoe.make_manifest(chunk_count=6)
     corpus = [constant_trace(1.5, tag="a"), constant_trace(0.8, tag="b")]
     estimator_model = est.EstimatorModel(hidden=8, seed=0)
-    trajectories = expert.build_expert_trajectories(corpus, manifest, params, estimator_model)
+    trajectories = [
+        expert.trajectory_from_log(log, estimator_model, 4)
+        for _, log in expert.plan_sessions(manifest, corpus, params)
+    ]
     assert len(trajectories) == 2
     for traj, trace in zip(trajectories, corpus):
         assert len(traj) == 6  # 3T tokens = 18 once tokenized
@@ -139,9 +142,10 @@ def test_build_expert_trajectories(params):
 def test_trajectory_roundtrip(tmp_path, params):
     manifest = qoe.make_manifest(chunk_count=5)
     estimator_model = est.EstimatorModel(hidden=8, seed=1)
-    trajectories = expert.build_expert_trajectories(
-        [constant_trace(2.0, tag="x")], manifest, params, estimator_model
-    )
+    trajectories = [
+        expert.trajectory_from_log(log, estimator_model, 4)
+        for _, log in expert.plan_sessions(manifest, [constant_trace(2.0, tag="x")], params)
+    ]
     path = tmp_path / "traj.jsonl"
     expert.save_trajectories(trajectories, path)
     loaded = expert.load_trajectories(path)

@@ -115,9 +115,10 @@ def pinned_setup():
     manifest = qoe.make_manifest(20, 4.0, size_jitter=0.1, seed=5)
     train_traces = harness.make_switching_corpus(4, corpus, 6, "pintrain")
     estimator_model = est.EstimatorModel(hidden=16, seed=5)
-    trajectories = expert.build_expert_trajectories(
-        train_traces, manifest, qoe.QoeParams(), estimator_model, 4, PIN_DP, PIN_SIM
-    )
+    trajectories = [
+        expert.trajectory_from_log(log, estimator_model, 4)
+        for _, log in expert.plan_sessions(manifest, train_traces, qoe.QoeParams(), PIN_DP, PIN_SIM)
+    ]
     config = dt.DtConfig(context_len=4, embed_dim=32, blocks=2, obs_dim=sim.obs_dim(6), max_timestep=20)
     model, _ = dt.train_dt(trajectories, config, dt.DtTrainConfig(steps=10, batch_size=16, seed=5))
     return manifest, test_traces, model, estimator_model

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -40,3 +41,31 @@ def test_traced_run_installs_on_the_package(monkeypatch):
     finally:
         recorder.uninstall()
     assert [_resolve(target) for target in layers.TARGETS] == originals
+
+
+def _package_names(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, name) pairs a benchmark file reads off the package: ``a.name`` after
+    ``from abrlab import m [as a]``, and ``n`` of ``from abrlab.m import n``."""
+    aliases: dict[str, str] = {}
+    names: set[tuple[str, str]] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "abrlab":
+            aliases.update((a.asname or a.name, f"abrlab.{a.name}") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("abrlab."):
+            names.update((node.module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            names.add((aliases[node.value.id], node.attr))
+    return names
+
+
+def test_names_the_benchmark_reads_resolve():
+    """Every package name a benchmark file reads outside the traced targets still exists, e.g. the
+    ``est.STARTUP_PRIOR`` of decide-http's set-up."""
+    read = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        read |= {(module, name, path.name) for module, name in _package_names(ast.parse(path.read_text()))}
+    assert ("abrlab.estimator", "STARTUP_PRIOR", "decide.py") in read
+    missing = [f"{file}: {module}.{name}" for module, name, file in sorted(read)
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, missing

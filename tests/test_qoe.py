@@ -101,8 +101,11 @@ def test_ladder_validation():
         BitrateLadder((300.0, 300.0))
     with pytest.raises(QoeError):
         BitrateLadder((300.0, -1.0))
+    for levels in ((300.0, float("inf")), (float("nan"), 750.0), (300.0, float("nan"))):
+        with pytest.raises(QoeError, match="positive and finite"):
+            BitrateLadder(levels)
     ladder = BitrateLadder((300.0, 750.0))
-    assert ladder.top == 1 and ladder[1] == 750.0
+    assert len(ladder) == 2 and ladder[1] == 750.0
 
 
 def test_params_validation():
@@ -123,6 +126,14 @@ def test_manifest_validation(ladder):
     bad[0, 0] = 0.0
     with pytest.raises(QoeError):
         qoe.VideoManifest(3, 4.0, ladder, bad)
+    for duration in (float("nan"), float("inf")):
+        with pytest.raises(QoeError, match="chunk_duration_s must be positive and finite"):
+            qoe.VideoManifest(3, duration, ladder, good)
+    for value in (float("nan"), float("inf")):
+        bad[:] = good
+        bad[2, 5] = value
+        with pytest.raises(QoeError, match="chunk sizes must be positive and finite"):
+            qoe.VideoManifest(3, 4.0, ladder, bad)
 
 
 def test_record_validation():

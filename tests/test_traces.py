@@ -54,12 +54,19 @@ def _parse_outcome(parse, text) -> str:
 @example(["0 1", "abc 1", "1 2 3"])  # non-numeric, then three fields
 @example(["0 1", "1 2 3", "abc 1"])  # three fields, then non-numeric
 @example(["0 1", "0 2", "1 2 3"])  # a repeated time, then three fields
-@example(["0 1", "inf 2", "inf 3"])  # inf <= inf, though inf - inf is nan
+@example(["0 1", "inf 2", "inf 3"])  # refused at line 2 as non-finite, not at line 3 as out of order
 @example(["0 1", "\t", "5 2\r", "7 1_000"])
 def test_parse_matches_line_by_line_reference(lines):
-    """The bulk parse returns the trace, or refuses the line with the message, that a line-by-line parse does."""
+    """The parse returns the trace, or refuses the line with the message, that the reference parse does."""
     text = "\n".join(lines)
     assert _parse_outcome(parse_cooked_trace, text) == _parse_outcome(parse_cooked_lines, text)
+
+
+@pytest.mark.parametrize("line", ["nan 2", "0 nan", "0 inf", "inf 3", "-inf 1"])
+def test_parse_refuses_non_finite_fields(line):
+    """A NaN or infinity is refused at its line, before the time-order check would see it."""
+    with pytest.raises(TraceParseError, match=f"^line 2: non-finite field in '{line}'$"):
+        parse_cooked_trace(f"0 1\n{line}\n9 1")
 
 
 def test_parse_rebases_times():
@@ -74,6 +81,9 @@ def test_trace_validation():
         traces.NetworkTrace(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     with pytest.raises(TraceError):
         traces.NetworkTrace(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    for times, tputs in (([0.0, np.inf], [1.0, 1.0]), ([0.0, 1.0], [1.0, np.nan]), ([0.0, 1.0], [np.inf, 1.0])):
+        with pytest.raises(TraceError, match="must be finite"):
+            traces.NetworkTrace(np.array(times), np.array(tputs))
 
 
 @given(
@@ -133,6 +143,19 @@ def test_estimator_grid_shape():
     assert len(specs) == 56 * 31
     assert mus[0] == 0.5 and mus[-1] == 6.0
     assert sigmas[0] == 0.0 and sigmas[-1] == 3.0
+
+
+STEPS, STOPS = "grid steps must be positive", "grid stops must not lie below their starts"
+
+
+@pytest.mark.parametrize("kwargs, reason", [
+    ({"mu_step": 0.0}, STEPS), ({"sigma_step": 0.0}, STEPS), ({"mu_step": -1.0}, STEPS),
+    ({"sigma_step": float("nan")}, STEPS),
+    ({"mu_start": 2.0, "mu_stop": 1.0}, STOPS), ({"sigma_start": 1.0, "sigma_stop": 0.5}, STOPS),
+])
+def test_estimator_grid_refuses_bad_ranges(kwargs, reason):
+    with pytest.raises(TraceError, match=reason):
+        traces.estimator_grid(**kwargs)
 
 
 def test_switching_trace_structure():
